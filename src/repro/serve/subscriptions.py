@@ -17,6 +17,15 @@ propagation window of the distributed structures and the robustness window
 in which an untouched edge's robust-set membership can still change -- and
 then goes quiet until the next touch.
 
+Finding the touched subscriptions never scans the registry.  ``register`` and
+``unregister`` maintain an index, per radius, from each watched node to the
+subscriptions watching it, plus the set of subscriptions that are still
+dirty.  A round looks up the nodes of each radius's dirty ball (or the
+index's keys, when there are fewer of those), marks what it finds dirty, and
+evaluates the dirty set in registration order.  So the per-round sweep costs
+time in proportion to the dirty ball plus the dirty subscriptions, not to
+the number registered: a settled subscription outside the ball costs nothing.
+
 Everything here is derived from engine-independent state (the ground-truth
 graph via the oracle, node answers via the monitor), so the full
 notification stream is bit-identical across the dense, sparse and columnar
@@ -26,8 +35,9 @@ engines; the serving CI gate asserts exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs.telemetry import TELEMETRY
 from .core import MonitorAnswer, ServingMonitor
@@ -95,6 +105,7 @@ class Subscription:
         "params",
         "watched",
         "radius",
+        "order",
         "_evaluate",
         "answer",
         "dirty",
@@ -107,7 +118,7 @@ class Subscription:
         subscription_id: str,
         kind: str,
         params: dict,
-        watched: FrozenSet[int],
+        watched: Tuple[int, ...],
         evaluate: Callable[[ServingMonitor], MonitorAnswer],
     ) -> None:
         self.subscription_id = subscription_id
@@ -115,6 +126,7 @@ class Subscription:
         self.params = params
         self.watched = watched
         self.radius = _KIND_RADIUS[kind]
+        self.order = 0  # registration sequence number, set by the registry
         self._evaluate = evaluate
         self.answer: Optional[MonitorAnswer] = None
         self.dirty = True  # evaluated at the next opportunity
@@ -131,11 +143,11 @@ class Subscription:
 
 def _build_evaluator(
     monitor: ServingMonitor, kind: str, params: dict
-) -> Tuple[dict, FrozenSet[int], Callable[[ServingMonitor], MonitorAnswer]]:
+) -> Tuple[dict, Tuple[int, ...], Callable[[ServingMonitor], MonitorAnswer]]:
     """Validate one subscription's parameters and bind its query closure.
 
     Returns the canonicalized params (what :meth:`Subscription.to_dict`
-    reports), the watched node set and the evaluator.
+    reports), the watched nodes and the evaluator.
     """
     n = monitor.n
 
@@ -144,19 +156,25 @@ def _build_evaluator(
             raise ValueError(f"{label} must be an integer in [0, {n}), got {x!r}")
         return x
 
+    def required(field):
+        if field not in params:
+            article = "an" if kind == "edge" else "a"
+            raise ValueError(f"{article} {kind} subscription needs {field!r}")
+        return params.pop(field)
+
     if kind == "edge":
-        node = check_node(params.pop("node"))
-        u = check_node(params.pop("u"), "u")
-        w = check_node(params.pop("w"), "w")
+        node = check_node(required("node"))
+        u = check_node(required("u"), "u")
+        w = check_node(required("w"), "w")
         if params:
             raise ValueError(f"unexpected edge-subscription params: {sorted(params)}")
         return (
             {"node": node, "u": u, "w": w},
-            frozenset({node}),
+            (node,),
             lambda m: m.knows_edge(node, u, w),
         )
     if kind in ("triangle", "clique", "cycle"):
-        members = params.pop("members")
+        members = required("members")
         members = tuple(check_node(x, "member") for x in members)
         member_set = frozenset(members)
         if kind == "triangle" and len(member_set) != 3:
@@ -169,9 +187,10 @@ def _build_evaluator(
                 raise ValueError("cycle subscriptions ask every member collectively")
             if params:
                 raise ValueError(f"unexpected cycle-subscription params: {sorted(params)}")
+            watched = tuple(sorted(member_set))
             return (
-                {"members": sorted(member_set)},
-                member_set,
+                {"members": list(watched)},
+                watched,
                 lambda m: m.list_cycle(member_set),
             )
         ask = min(member_set) if ask is None else check_node(ask, "ask")
@@ -181,12 +200,12 @@ def _build_evaluator(
             a, b, c = sorted(member_set)
             return (
                 {"members": [a, b, c], "ask": ask},
-                frozenset({ask}),
+                (ask,),
                 lambda m: m.is_triangle(a, b, c, ask=ask),
             )
         return (
             {"members": sorted(member_set), "ask": ask},
-            frozenset({ask}),
+            (ask,),
             lambda m: m.is_clique(member_set, ask=ask),
         )
     raise ValueError(f"unknown subscription kind {kind!r}; choose from {SUBSCRIPTION_KINDS}")
@@ -210,6 +229,11 @@ class SubscriptionRegistry:
         self.monitor = monitor
         self.settle_streak = settle_streak
         self._subscriptions: Dict[str, Subscription] = {}
+        #: radius -> watched node -> the subscriptions watching it.
+        self._index: Dict[int, Dict[int, Tuple[Subscription, ...]]] = {}
+        #: The still-dirty subscriptions, keyed by registration order.
+        self._dirty: Dict[int, Subscription] = {}
+        self._order = count()
         self._auto_id = 0
         self.evaluated = 0
         self.skipped = 0
@@ -240,11 +264,23 @@ class SubscriptionRegistry:
                 f"{kind!r} subscriptions: {exc}"
             ) from exc
         if subscription_id is None:
-            self._auto_id += 1
-            subscription_id = f"sub-{self._auto_id:04d}"
+            subscription_id = self._next_auto_id()
         subscription.subscription_id = subscription_id
+        subscription.order = next(self._order)
         self._subscriptions[subscription_id] = subscription
+        watchers = self._index.setdefault(subscription.radius, {})
+        for node in watched:
+            watchers[node] = watchers.get(node, ()) + (subscription,)
+        self._dirty[subscription.order] = subscription
         return subscription_id
+
+    def _next_auto_id(self) -> str:
+        """The next ``sub-NNNN`` id that no registration holds yet."""
+        while True:
+            self._auto_id += 1
+            candidate = f"sub-{self._auto_id:04d}"
+            if candidate not in self._subscriptions:
+                return candidate
 
     def register_all(self, specs: Iterable[dict]) -> List[str]:
         """Register a batch of ``{"id": ..., "kind": ..., ...params}`` dicts."""
@@ -258,9 +294,18 @@ class SubscriptionRegistry:
         return ids
 
     def unregister(self, subscription_id: str) -> None:
-        if subscription_id not in self._subscriptions:
-            raise KeyError(subscription_id)
-        del self._subscriptions[subscription_id]
+        subscription = self._subscriptions.pop(subscription_id)
+        watchers = self._index[subscription.radius]
+        for node in subscription.watched:
+            rest = tuple(other for other in watchers[node] if other is not subscription)
+            if rest:
+                watchers[node] = rest
+            else:
+                del watchers[node]
+        if not watchers:
+            # No ball of this radius is requested while nobody watches it.
+            del self._index[subscription.radius]
+        self._dirty.pop(subscription.order, None)
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -286,33 +331,36 @@ class SubscriptionRegistry:
         Args:
             ball: ``ball(depth)`` -> nodes within ``depth`` hops of the
                 round's topology changes (the oracle's dirty region; empty
-                for a quiet round).
+                for a quiet round).  Called once per radius that some
+                registered subscription watches at.
             round_index: the just-served round.
 
         Returns the notifications fired this round, in registration order.
         """
+        dirty = self._dirty
+        for radius, watchers in self._index.items():
+            # The keys view intersects by walking the smaller of the two.
+            for node in watchers.keys() & ball(radius):
+                for subscription in watchers[node]:
+                    subscription.dirty = True
+                    subscription.definite_streak = 0
+                    dirty[subscription.order] = subscription
         notifications: List[AnswerChanged] = []
+        monitor = self.monitor
         telemetry_on = TELEMETRY.enabled
         tracer = TELEMETRY.tracer if telemetry_on else None
-        evaluated_before = self.evaluated
-        for subscription in self._subscriptions.values():
-            touched = not subscription.watched.isdisjoint(ball(subscription.radius))
-            if touched:
-                subscription.dirty = True
-                subscription.definite_streak = 0
-            if not subscription.dirty:
-                self.skipped += 1
-                continue
+        pending = sorted(dirty)
+        for order in pending:
+            subscription = dirty[order]
             if telemetry_on:
                 start = perf_counter()
-                answer = subscription.evaluate(self.monitor)
+                answer = subscription.evaluate(monitor)
                 end = perf_counter()
                 TELEMETRY.observe("serve.answer_latency_s", end - start)
                 if tracer is not None:
                     tracer.add("serve.evaluate", start, end, round_index=round_index)
             else:
-                answer = subscription.evaluate(self.monitor)
-            self.evaluated += 1
+                answer = subscription.evaluate(monitor)
             if answer != subscription.answer:
                 notifications.append(
                     AnswerChanged(
@@ -328,14 +376,13 @@ class SubscriptionRegistry:
                 subscription.definite_streak += 1
                 if subscription.definite_streak >= self.settle_streak:
                     subscription.dirty = False
+                    del dirty[order]
             else:
                 subscription.definite_streak = 0
+        self.evaluated += len(pending)
+        self.skipped += len(self._subscriptions) - len(pending)
         self.fired += len(notifications)
         if telemetry_on:
-            # Only this round's evaluations: counting the running total here
-            # would re-add every earlier round's work each round.
-            TELEMETRY.count(
-                "serve.subscriptions_evaluated", self.evaluated - evaluated_before
-            )
+            TELEMETRY.count("serve.subscriptions_evaluated", len(pending))
             TELEMETRY.count("serve.notifications", len(notifications))
         return notifications

@@ -343,3 +343,12 @@ class TestEngineFlag:
         assert main(argv + ["--engine", "sparse"]) == 0
         sparse_out = capsys.readouterr().out
         assert dense_out == sparse_out
+
+
+class TestServeSubcommand:
+    def test_subscription_spec_errors_name_the_missing_field(self, tmp_path, capsys):
+        subs = tmp_path / "subs.json"
+        subs.write_text(json.dumps([{"kind": "triangle", "ask": 1}]))
+        code = main(["serve", "--nodes", "8", "--subscriptions", str(subs)])
+        assert code == 2
+        assert "error: a triangle subscription needs 'members'" in capsys.readouterr().err

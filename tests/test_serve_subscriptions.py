@@ -23,6 +23,13 @@ class TestRegistration:
         assert service.subscribe("triangle", members=[1, 2, 3]) == "sub-0002"
         assert len(service.registry) == 2
 
+    def test_auto_ids_skip_explicitly_taken_ids(self):
+        service = triangle_service()
+        service.subscribe("triangle", members=[0, 1, 2], subscription_id="sub-0001")
+        assert service.subscribe("triangle", members=[1, 2, 3]) == "sub-0002"
+        assert len(service.registry) == 2
+        assert service.registry.get("sub-0001").params["members"] == [0, 1, 2]
+
     def test_failed_registration_does_not_burn_an_id(self):
         service = MonitorService(12, "robust2hop")
         with pytest.raises(ValueError, match="cannot answer 'triangle'"):
@@ -61,6 +68,9 @@ class TestRegistration:
             ("edge", {"node": 0, "u": 0, "w": 1, "x": 2}, "unexpected"),
             ("clique", {"members": [0, 1]}, "distinct members"),
             ("cycle", {"members": [0, 1, 2, 3], "ask": 0}, "collectively"),
+            ("triangle", {"ask": 1}, "a triangle subscription needs 'members'"),
+            ("edge", {"node": 0, "u": 1}, "an edge subscription needs 'w'"),
+            ("cycle", {}, "a cycle subscription needs 'members'"),
         ],
     )
     def test_bad_params(self, kind, params, message):
