@@ -1,23 +1,22 @@
-"""E14 -- engine scaling: dense vs sparse vs columnar round scheduling.
+"""E14 -- engine scaling: dense vs sparse round scheduling.
 
 The sparse engine (:class:`~repro.simulator.rounds.SparseRoundEngine`) only
-visits nodes with something to do; the columnar engine
-(:class:`~repro.simulator.columnar.ColumnarRoundEngine`) adds batched send
-buffers, bulk bandwidth charging and a quiet-round fast path on top of the
-same sparse bookkeeping.  This bench expresses the comparison as a campaign
-grid -- workload configurations (network size x churn profile) times the
-``engine_mode`` axis -- runs every cell with per-round latency
-instrumentation, verifies that all engines produce **identical metrics** on
+visits nodes with something to do, and carries the triangle algorithm's
+messages on the columnar batch transport; the dense engine visits every node
+every round with one envelope per link.  This bench expresses the comparison
+as a campaign grid -- workload configurations (network size x churn profile)
+times the ``engine_mode`` axis -- runs every cell with per-round latency
+instrumentation, verifies that both engines produce **identical metrics** on
 every cell, and records the performance trajectory in ``BENCH_engine.json``
 (mean / p95 round latency and rounds per second per cell, plus the
-per-workload speedups of each engine over dense).
+per-workload speedup of sparse over dense).
 
 The headline cell is the flickering-triangle gadget embedded in an n=2000
 network (~1% of the nodes ever churn): the dense engine sweeps all 2000 nodes
-for hundreds of rounds while sparse/columnar touch only the gadget; the
-acceptance bar is a >= 10x rounds/sec speedup there.  A separate scale probe
-runs the same gadget at n=100k under sparse and columnar only (dense would
-take minutes) -- cheap enough for the CI smoke job.
+for hundreds of rounds while sparse touches only the gadget; the acceptance
+bar is a >= 10x rounds/sec speedup there.  A separate scale probe times the
+same gadget at n=100k under sparse only (dense would take minutes) -- cheap
+enough for the CI smoke job.
 
 Run directly (this is also the CI perf-smoke entry point)::
 
@@ -107,7 +106,7 @@ def build_campaign(smoke: bool = False) -> CampaignSpec:
         base=dict(_BASE),
         grid={
             "workload": [dict(c) for c in (_SMOKE_CONFIGS if smoke else _FULL_CONFIGS)],
-            "engine_mode": ["dense", "sparse", "columnar"],
+            "engine_mode": ["dense", "sparse"],
         },
     )
 
@@ -154,53 +153,39 @@ def timed_cell(spec: ExperimentSpec) -> Tuple[Dict[str, float], List[float]]:
 
 
 #: The scale probe: the flicker gadget embedded in a 100k-node network.
-#: Dense would sweep 10^5 nodes x hundreds of rounds, so only the
-#: activity-proportional engines run here -- sparse as the reference,
-#: columnar as the candidate (its quiet-round fast path dominates).
+#: Dense would sweep 10^5 nodes x hundreds of rounds, so only sparse runs
+#: here; its identity with dense on the same gadget is gated at n=2000.
 SCALE_PROBE_N = 100_000
 
 
 def run_scale_probe(smoke: bool = False) -> Dict:
-    """Run the n=100k flicker cell under sparse and columnar and compare."""
-    entries = {}
-    for mode in ("sparse", "columnar"):
-        spec = ExperimentSpec.from_dict(
-            {
-                **_BASE,
-                "n": SCALE_PROBE_N,
-                "rounds": None,
-                "adversary": "flicker",
-                "adversary_params": {"settle_rounds": 60 if smoke else 300},
-                "engine_mode": mode,
-            }
-        )
-        metrics, latencies = timed_cell(spec)
-        wall = sum(latencies)
-        rounds = int(metrics["rounds_executed"])
-        entries[mode] = {
+    """Time the n=100k flicker cell under sparse."""
+    spec = ExperimentSpec.from_dict(
+        {
+            **_BASE,
             "n": SCALE_PROBE_N,
-            "engine_mode": mode,
-            "rounds_executed": rounds,
-            "wall_s": round(wall, 6),
-            "rounds_per_sec": round(rounds / wall, 2) if wall > 0 else float("inf"),
-            "mean_round_latency_s": round(wall / rounds, 9) if rounds else 0.0,
-            "metrics": metrics,
+            "rounds": None,
+            "adversary": "flicker",
+            "adversary_params": {"settle_rounds": 60 if smoke else 300},
+            "engine_mode": "sparse",
         }
-    identical = entries["sparse"]["metrics"] == entries["columnar"]["metrics"]
-    speedup = (
-        round(
-            entries["columnar"]["rounds_per_sec"]
-            / entries["sparse"]["rounds_per_sec"],
-            2,
-        )
-        if entries["sparse"]["rounds_per_sec"]
-        else float("inf")
     )
+    metrics, latencies = timed_cell(spec)
+    wall = sum(latencies)
+    rounds = int(metrics["rounds_executed"])
     return {
         "label": f"flicker n={SCALE_PROBE_N} (~0.01% nodes churning)",
-        "cells": list(entries.values()),
-        "sparse_columnar_identical": identical,
-        "speedup_columnar_over_sparse": speedup,
+        "cells": [
+            {
+                "n": SCALE_PROBE_N,
+                "engine_mode": "sparse",
+                "rounds_executed": rounds,
+                "wall_s": round(wall, 6),
+                "rounds_per_sec": round(rounds / wall, 2) if wall > 0 else float("inf"),
+                "mean_round_latency_s": round(wall / rounds, 9) if rounds else 0.0,
+                "metrics": metrics,
+            }
+        ],
     }
 
 
@@ -232,29 +217,20 @@ def run_scaling(smoke: bool = False) -> Dict:
         per_workload.setdefault(entry["label"], {})[cell.engine_mode] = entry
 
     sparse_speedups: Dict[str, float] = {}
-    columnar_speedups: Dict[str, float] = {}
     identical = True
     divergences: List[str] = []
     for label, modes in per_workload.items():
-        dense = modes["dense"]
-        for mode, speedups in (
-            ("sparse", sparse_speedups),
-            ("columnar", columnar_speedups),
-        ):
-            entry = modes[mode]
-            if dense["metrics"] != entry["metrics"]:
-                identical = False
-                divergences.append(f"{label} [{mode}]")
-            speedups[label] = round(
-                entry["rounds_per_sec"] / dense["rounds_per_sec"], 2
-            )
+        dense, sparse = modes["dense"], modes["sparse"]
+        if dense["metrics"] != sparse["metrics"]:
+            identical = False
+            divergences.append(f"{label} [sparse]")
+        sparse_speedups[label] = round(sparse["rounds_per_sec"] / dense["rounds_per_sec"], 2)
 
     return {
         "campaign": campaign.name,
         "smoke": smoke,
         "cells": rows,
         "speedup_sparse_over_dense": sparse_speedups,
-        "speedup_columnar_over_dense": columnar_speedups,
         "engines_identical": identical,
         "dense_sparse_identical": identical,
         "divergent_workloads": divergences,
@@ -292,23 +268,18 @@ def emit_report(report: Dict, out: Path) -> None:
         "E14_engine_scaling",
         ["workload", "engine", "rounds", "wall s", "rounds / s", "mean ms/round", "p95 ms/round"],
         table_rows,
-        claim="substrate only: dense vs activity-proportional (sparse) vs vectorized (columnar)",
+        claim="substrate only: dense vs activity-proportional (sparse) scheduling",
     )
     print(f"speedups (sparse / dense rounds per sec): {report['speedup_sparse_over_dense']}")
-    print(f"speedups (columnar / dense rounds per sec): {report['speedup_columnar_over_dense']}")
     probe = report["scale_probe"]
-    print(
-        f"scale probe {probe['label']}: columnar/sparse = "
-        f"{probe['speedup_columnar_over_sparse']}x, identical = "
-        f"{probe['sparse_columnar_identical']}"
-    )
+    print(f"scale probe {probe['label']}: {probe['cells'][0]['rounds_per_sec']} rounds/s")
     print(f"report written to {out}")
 
 
 # --------------------------------------------------------------------- #
 # pytest entry points (run with --benchmark-only like the other benches)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("mode", ["dense", "sparse", "columnar"])
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
 def test_smoke_identity(benchmark, mode):
     spec = ExperimentSpec.from_dict(
         {**_BASE, **_SMOKE_CONFIGS[0], "engine_mode": mode}
@@ -327,10 +298,9 @@ def test_smoke_identity(benchmark, mode):
 def _emit_table_impl():
     report = run_scaling(smoke=False)
     assert report["engines_identical"], report["divergent_workloads"]
-    assert report["scale_probe"]["sparse_columnar_identical"]
     flicker_label = f"flicker n={FLICKER_N} (~1% nodes churning)"
-    for speedups in ("speedup_sparse_over_dense", "speedup_columnar_over_dense"):
-        assert report[speedups][flicker_label] >= 10.0, report[speedups]
+    speedups = report["speedup_sparse_over_dense"]
+    assert speedups[flicker_label] >= 10.0, speedups
     emit_report(report, Path(__file__).resolve().parent.parent / "BENCH_engine.json")
 
 
@@ -359,18 +329,12 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if not report["scale_probe"]["sparse_columnar_identical"]:
-        print("FAIL: scale probe: sparse and columnar diverged", file=sys.stderr)
-        return 1
     if not args.smoke:
         flicker_label = f"flicker n={FLICKER_N} (~1% nodes churning)"
-        for speedups in ("speedup_sparse_over_dense", "speedup_columnar_over_dense"):
-            if report[speedups][flicker_label] < 10.0:
-                print(
-                    f"FAIL: flicker speedup below 10x: {report[speedups]}",
-                    file=sys.stderr,
-                )
-                return 1
+        speedups = report["speedup_sparse_over_dense"]
+        if speedups[flicker_label] < 10.0:
+            print(f"FAIL: flicker speedup below 10x: {speedups}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -14,8 +14,8 @@ heavy-tailed p2p session churn at n=300) x serial engine mode, reporting
   gate skipped outright (the incrementality win),
 
 and asserts that the full notification stream, evaluation counters and final
-state fingerprint are **bit-identical across dense, sparse and columnar** on
-every cell -- the serving differential gate.
+state fingerprint are **bit-identical across dense and sparse** on every
+cell -- the serving differential gate.
 
 Run directly (this is also the CI serving-smoke entry point)::
 
@@ -44,7 +44,7 @@ from benchmarks.harness import emit_table
 
 #: Serial engine modes the serving monitor accepts (sharded cannot serve
 #: in-process queries); kept in sync with the registry by construction.
-SERVING_MODES = tuple(mode for mode in ENGINE_MODES if mode != "sharded")
+SERVING_MODES = ENGINE_MODES
 
 #: The two churn models.  ``flicker`` is the paper's Section 1.3 gadget
 #: embedded in a large quiet network (the incremental-serving sweet spot:

@@ -1,10 +1,10 @@
-"""Using the application-facing DynamicGraphMonitor API.
+"""Using the application-facing ServingMonitor API.
 
 The other examples are phrased as experiments (an adversary plays against an
 algorithm).  Real applications usually just *have* a stream of link up/down
 events -- an overlay manager, a service mesh, a wireless testbed -- and want to
 ask structural questions while the graph keeps changing.  That is what
-:class:`repro.DynamicGraphMonitor` is for: feed it each tick's changes, and
+:class:`repro.ServingMonitor` is for: feed it each tick's changes, and
 query any node; answers are definite or explicitly "still propagating", and
 the paper's O(1) amortized-complexity guarantee caps how often the latter can
 happen per change.
@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 
-from repro import DynamicGraphMonitor
+from repro import ServingMonitor
 
 
 def main() -> None:
     n = 20
     group = [2, 5, 7, 11]
-    monitor = DynamicGraphMonitor(n=n, structure="clique")
+    monitor = ServingMonitor(n=n, structure="clique")
 
     # A scripted stream of link events: background links plus the tenant
     # group's links coming up one by one (with one flap in the middle).

@@ -59,7 +59,6 @@ from .core import (
     TwoHopListingNode,
     TwoHopQuery,
 )
-from .monitor import DynamicGraphMonitor, MonitorAnswer
 from .obs import TELEMETRY, CampaignProgress, Histogram, Telemetry, TelemetrySink
 from .oracle import GroundTruthOracle
 from .serve import (
@@ -67,6 +66,7 @@ from .serve import (
     EventSource,
     LogConverter,
     LogEventSource,
+    MonitorAnswer,
     MonitorService,
     ServingMonitor,
     ServingReport,
@@ -93,7 +93,6 @@ __all__ = [
     "CycleListingNode",
     "CycleLowerBoundAdversary",
     "CycleQuery",
-    "DynamicGraphMonitor",
     "DynamicNetwork",
     "EdgeQuery",
     "EventSource",

@@ -18,8 +18,8 @@ Installed as the ``repro-dynamic-subgraphs`` console script.  Three modes:
       repro-dynamic-subgraphs campaign --spec sweep.json --jobs 4
 
 * the ``verify`` subcommand differentially verifies every unique cell of a
-  sweep spec across the dense, sparse, sharded and columnar engines, running
-  every applicable registered check and reporting structured divergences::
+  sweep spec across the dense, sparse and sharded engines, running every
+  applicable registered check and reporting structured divergences::
 
       repro-dynamic-subgraphs verify --spec sweep.json
 
@@ -94,6 +94,7 @@ __all__ = [
     "fuzz_main",
     "telemetry_main",
     "serve_main",
+    "SUBCOMMANDS",
 ]
 
 
@@ -132,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=sorted(ENGINE_MODES),
         default="sparse",
-        help="round scheduler: 'sparse' only visits active nodes (default), "
-        "'dense' visits every node every round, 'columnar' batches message "
-        "routing over struct-of-arrays buffers; all produce identical results",
+        help="round scheduler: 'sparse' only visits active nodes and batches "
+        "the messages of ported algorithms (default), 'dense' visits every "
+        "node every round; both produce identical results",
     )
     parser.add_argument("--inserts-per-round", type=int, default=2)
     parser.add_argument("--deletes-per-round", type=int, default=1)
@@ -482,9 +483,8 @@ def build_verify_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", type=Path, required=True, help="campaign spec JSON file")
     parser.add_argument(
         "--modes",
-        default="dense,sparse,sharded,columnar",
-        help="comma-separated engine modes to compare "
-        "(default: dense,sparse,sharded,columnar)",
+        default="dense,sparse,sharded",
+        help="comma-separated engine modes to compare (default: dense,sparse,sharded)",
     )
     parser.add_argument(
         "--limit", type=int, default=None, help="verify at most this many unique cells"
@@ -622,7 +622,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "--modes",
         default="dense,sparse",
         help="comma-separated engine modes each cell is compared across "
-        "(default: dense,sparse; add sharded/columnar for full coverage). "
+        "(default: dense,sparse; add sharded for full coverage). "
         "--replay ignores this: each corpus entry replays under the modes "
         "it was recorded with",
     )
@@ -1075,7 +1075,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=[mode for mode in sorted(ENGINE_MODES) if mode != "sharded"],
+        choices=sorted(ENGINE_MODES),
         default="sparse",
         help="serial round scheduler (the process-parallel 'sharded' engine "
         "cannot serve in-process queries and is rejected)",
@@ -1257,19 +1257,21 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+#: The subcommands by name; any other first argument is a single run's flag.
+SUBCOMMANDS = {
+    "campaign": campaign_main,
+    "verify": verify_main,
+    "fuzz": fuzz_main,
+    "telemetry": telemetry_main,
+    "serve": serve_main,
+}
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "campaign":
-        return campaign_main(argv[1:])
-    if argv and argv[0] == "verify":
-        return verify_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        return fuzz_main(argv[1:])
-    if argv and argv[0] == "telemetry":
-        return telemetry_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     return _run_single(args)
 

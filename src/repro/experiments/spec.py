@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.models import FAULT_NONE, build_fault_plan
+from ..simulator.bandwidth import BandwidthPolicy
 from ..simulator.rounds import ENGINE_MODES
 from .registry import ADVERSARIES, ALGORITHMS, CHECKS
 
@@ -63,13 +64,12 @@ class ExperimentSpec:
             after the adversary finishes.
         engine: ``"serial"`` (:class:`~repro.simulator.runner.SimulationRunner`)
             or ``"sharded"`` (:class:`~repro.simulator.parallel.ShardedRoundEngine`).
-        engine_mode: round-scheduling mode, ``"sparse"`` (default;
-            activity-proportional, only active nodes are visited),
-            ``"dense"`` (every node every round) or ``"columnar"``
-            (activity-proportional plus batched struct-of-arrays message
-            routing; serial engine only).  All modes produce bit-identical
-            metrics and traces, so this axis is safe to sweep for
-            performance studies.
+        engine_mode: round-scheduling policy, ``"sparse"`` (default;
+            activity-proportional, only active nodes are visited, on the
+            batch transport where the algorithm is ported) or ``"dense"``
+            (every node every round).  Both produce bit-identical metrics
+            and traces, so this axis is safe to sweep for performance
+            studies.
         num_workers: shard-process count for the sharded engine.
         record_trace: record the realized schedule for exact replay.
         checks: names of end-of-run checks (see
@@ -127,14 +127,11 @@ class ExperimentSpec:
             raise ValueError(
                 f"engine_mode must be one of {ENGINE_MODES}, got {self.engine_mode!r}"
             )
-        if self.engine == "sharded" and self.engine_mode == "columnar":
-            raise ValueError(
-                "engine_mode='columnar' requires engine='serial': the columnar "
-                "engine batches across the whole node population and has no "
-                "sharded counterpart"
-            )
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        # The policy owns the factor check, so every entry point (spec,
+        # runner, serve) rejects a bad factor with the same message.
+        BandwidthPolicy(factor=self.bandwidth_factor)
         if self.rounds is not None and self.rounds < 0:
             raise ValueError("rounds must be non-negative")
         if self.num_workers < 1:

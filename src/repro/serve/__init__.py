@@ -1,6 +1,6 @@
 """The serving subsystem: event-stream ingestion, standing subscriptions, SLO serving.
 
-The old monolithic ``DynamicGraphMonitor`` grew into three layers:
+The serving stack has three layers:
 
 * :mod:`repro.serve.ingest` -- **where batches come from**: the
   :class:`EventSource` abstraction with adversary-driven, trace-replay and
@@ -8,14 +8,15 @@ The old monolithic ``DynamicGraphMonitor`` grew into three layers:
   :class:`LogConverter` into a replayable trace).
 * :mod:`repro.serve.core` -- **the monitor itself**:
   :class:`ServingMonitor` runs one of the paper's structures on every node
-  over any serial engine mode and answers typed local queries.
+  over either serial engine mode and answers typed local queries.
 * :mod:`repro.serve.subscriptions` -- **who is asking**: standing queries
   registered by id, re-evaluated incrementally via the oracle's dirty-region
   versioning, firing :class:`AnswerChanged` notifications.
 
 :class:`MonitorService` (:mod:`repro.serve.service`) wires the three together
-and produces :class:`ServingReport` objects; ``repro.monitor`` remains as a
-compatibility facade exposing the historical ``DynamicGraphMonitor`` name.
+and produces :class:`ServingReport` objects.  An application that just has
+a stream of link changes and wants to ask questions holds a
+:class:`ServingMonitor` directly.
 """
 
 from .core import STRUCTURES, MonitorAnswer, ServingMonitor

@@ -9,14 +9,17 @@ ingested batch, and exposes typed query helpers returning
 
 It deliberately knows nothing about *where* batches come from (that is the
 ingestion layer, :mod:`repro.serve.ingest`) or *who* is asking (standing
-queries live in :mod:`repro.serve.subscriptions`); an application that wants
-the old synchronous surface uses the
-:class:`~repro.monitor.DynamicGraphMonitor` facade, which is this class under
-its historical name.
+queries live in :mod:`repro.serve.subscriptions`); an application that
+simply *has* a dynamic graph uses this class directly::
 
-The monitor rides any *serial* engine mode -- ``"dense"``, ``"sparse"``
-(default) or ``"columnar"`` -- and produces bit-identical answers, metrics
-and state fingerprints under all three.  The process-parallel ``"sharded"``
+    monitor = ServingMonitor(n=50, structure="clique")
+    monitor.update(insert=[(0, 1), (1, 2), (0, 2)])
+    monitor.settle()                      # let announcements propagate
+    monitor.is_triangle(0, 1, 2)          # MonitorAnswer(value=True, definite=True)
+
+The monitor rides either *serial* engine mode -- ``"dense"`` or ``"sparse"``
+(default) -- and produces bit-identical answers, metrics and state
+fingerprints under both.  The process-parallel ``"sharded"``
 engine is rejected at construction: it forks worker processes that own the
 node state, so in-process queries against ``self.nodes`` would silently read
 stale coordinator-side copies.
@@ -104,12 +107,11 @@ class ServingMonitor:
         bandwidth_factor: per-link budget multiplier (``factor * ceil(log2 n)``
             bits per round).
         strict_bandwidth: raise if a message exceeds the budget (default).
-        engine_mode: ``"sparse"`` (default, activity-proportional rounds),
-            ``"dense"`` (reference scheduler) or ``"columnar"`` (vectorized
-            message routing); identical results under all three.  The
-            process-parallel ``"sharded"`` engine is rejected here -- it moves
-            node state into worker processes, where in-process queries cannot
-            reach it.
+        engine_mode: ``"sparse"`` (default, activity-proportional rounds) or
+            ``"dense"`` (reference scheduler); identical results under both.
+            The process-parallel ``"sharded"`` engine is rejected here -- it
+            moves node state into worker processes, where in-process queries
+            cannot reach it.
     """
 
     def __init__(

@@ -92,7 +92,7 @@ class MonitorService:
         n: number of nodes.
         structure: data structure name or factory (see
             :data:`~repro.serve.core.STRUCTURES`).
-        engine_mode: any serial engine mode (``dense``/``sparse``/``columnar``).
+        engine_mode: either serial engine mode (``dense``/``sparse``).
         settle_streak: consecutive definite answers after which a touched
             subscription goes quiet (see
             :class:`~repro.serve.subscriptions.SubscriptionRegistry`).

@@ -28,8 +28,8 @@ the number registered: a settled subscription outside the ball costs nothing.
 
 Everything here is derived from engine-independent state (the ground-truth
 graph via the oracle, node answers via the monitor), so the full
-notification stream is bit-identical across the dense, sparse and columnar
-engines; the serving CI gate asserts exactly that.
+notification stream is bit-identical across the dense and sparse engines;
+the serving CI gate asserts exactly that.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ The public surface is:
   :class:`EdgeDelete` -- the ground-truth dynamic graph and its change events.
 * :class:`NodeAlgorithm` -- the per-node algorithm interface.
 * :class:`RoundEngine` / :class:`SparseRoundEngine` /
-  :class:`ColumnarRoundEngine` / :class:`ShardedRoundEngine` -- dense,
-  activity-proportional, vectorized and process-parallel round execution
-  (see also :class:`QuiescenceProtocol` and :class:`ColumnarProtocol`).
+  :class:`ShardedRoundEngine` -- dense, activity-proportional and
+  process-parallel round execution (see also :class:`QuiescenceProtocol`,
+  and :class:`ColumnarProtocol` for the sparse policy's batch transport).
 * :class:`SimulationRunner` / :class:`SimulationResult` -- end-to-end
   orchestration of an adversary against an algorithm.
 * :class:`BandwidthPolicy`, :class:`MetricsCollector` -- bandwidth and
@@ -26,7 +26,7 @@ The public surface is:
 
 from .adversary import Adversary, AdversaryView
 from .bandwidth import BandwidthExceededError, BandwidthPolicy, BandwidthViolation
-from .columnar import ColumnarRoundEngine, SendBuffer
+from .columnar import SendBuffer
 from .events import Edge, EdgeDelete, EdgeInsert, RoundChanges, canonical_edge
 from .messages import (
     EdgeDeleteHopMessage,
@@ -39,7 +39,7 @@ from .messages import (
     id_bits,
 )
 from .metrics import MetricsCollector, RoundRecord
-from .network import AdjacencyMirror, DynamicNetwork, NodeIndication, TopologyError
+from .network import DynamicNetwork, NodeIndication, TopologyError
 from .node import (
     AlgorithmFactory,
     ColumnarProtocol,
@@ -60,7 +60,6 @@ from .runner import RoundValidator, SimulationResult, SimulationRunner, drive_en
 from .trace import TopologyTrace, TraceRecordingAdversary, TraceReplayAdversary
 
 __all__ = [
-    "AdjacencyMirror",
     "Adversary",
     "AdversaryView",
     "AlgorithmFactory",
@@ -70,7 +69,6 @@ __all__ = [
     "canonical_edge",
     "canonical_state",
     "ColumnarProtocol",
-    "ColumnarRoundEngine",
     "create_engine",
     "drive_engine",
     "DynamicNetwork",

@@ -16,7 +16,8 @@ envelope against it.  Two enforcement modes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from numbers import Real
+from typing import Dict, Iterable, List, Tuple
 
 from .messages import Envelope, id_bits
 
@@ -46,7 +47,7 @@ class BandwidthPolicy:
         factor: the hidden constant of the ``O(log n)`` allowance.  The
             default of 8 comfortably fits the largest constant-size message of
             the paper's algorithms (a 4-identifier path plus marks) while
-            still being logarithmic.
+            still being logarithmic.  Must be positive.
         strict: whether violations raise (``True``) or are recorded
             (``False``).
     """
@@ -57,6 +58,11 @@ class BandwidthPolicy:
     max_observed_bits: int = 0
     total_bits: int = 0
     total_envelopes: int = 0
+
+    def __post_init__(self) -> None:
+        factor = self.factor
+        if isinstance(factor, bool) or not isinstance(factor, Real) or not factor > 0:
+            raise ValueError(f"bandwidth_factor must be a positive number, got {factor!r}")
 
     def budget_bits(self, n: int) -> int:
         """The per-link per-round budget in bits for an ``n``-node network."""
@@ -74,6 +80,17 @@ class BandwidthPolicy:
         size = envelope.size_bits(n)
         if envelope.is_silent:
             return 0
+        self.charge_bits(round_index, sender, receiver, size, n)
+        return size
+
+    def charge_bits(
+        self, round_index: int, sender: int, receiver: int, size: int, n: int
+    ) -> None:
+        """Account for one non-silent transmission of ``size`` bits.
+
+        The one place that moves the counters, records violations and raises
+        in strict mode; :meth:`charge` and :meth:`charge_rows` both end here.
+        """
         self.total_envelopes += 1
         self.total_bits += size
         if size > self.max_observed_bits:
@@ -93,7 +110,33 @@ class BandwidthPolicy:
                     f"round {round_index}: envelope {sender}->{receiver} uses "
                     f"{size} bits, budget is {budget} bits"
                 )
-        return size
+
+    def charge_rows(
+        self,
+        round_index: int,
+        n: int,
+        count: int,
+        bits: int,
+        largest: int,
+        rows: Iterable[Tuple[int, int, int]],
+    ) -> None:
+        """Account for ``count`` non-silent transmissions of ``bits`` bits in all.
+
+        When the largest one (``largest`` bits) fits the budget, none can
+        violate it and the counters move in O(1) to exactly where charging
+        each would leave them.  Otherwise every ``(sender, receiver, size)``
+        of ``rows``, in send order, goes through :meth:`charge_bits`, so the
+        violation records and the strict-mode raise match the per-envelope
+        path bit for bit.
+        """
+        if largest <= self.budget_bits(n):
+            self.total_envelopes += count
+            self.total_bits += bits
+            if largest > self.max_observed_bits:
+                self.max_observed_bits = largest
+            return
+        for sender, receiver, size in rows:
+            self.charge_bits(round_index, sender, receiver, size, n)
 
     @property
     def num_violations(self) -> int:

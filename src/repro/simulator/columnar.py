@@ -1,69 +1,43 @@
-"""The columnar (vectorized) round engine.
+"""The batch transport: one round's traffic as a struct of arrays.
 
-:class:`ColumnarRoundEngine` is the third selectable scheduler
-(``engine_mode="columnar"``).  It keeps the sparse engine's
-activity-proportional bookkeeping -- the active set, the quiescence contract,
-the delta-based consistency accounting -- and replaces the two per-message
-hot paths:
+The sparse scheduling policy (:class:`~repro.simulator.rounds.SparseRoundEngine`)
+carries a round's messages on one of two transports.  The per-envelope
+transport allocates an :class:`~repro.simulator.messages.Envelope` (plus
+payload dataclass plus per-node dict) per link.  The batch transport is used
+instead whenever the whole population is one class implementing the opt-in
+:class:`~repro.simulator.node.ColumnarProtocol` (currently the
+``triangle`` family and ``robust2hop``): that class composes the round's
+entire traffic into one shared :class:`SendBuffer` -- parallel ``senders`` /
+``targets`` / ``edges`` / ``ops`` / ``patterns`` / ``empty_flags`` columns --
+and the engine groups rows by receiver in one sweep, so delivery walks the
+grouped rows through the same message handlers the per-envelope path uses.
+Targets are checked row by row against the network, and the whole buffer is
+priced in O(1) from three row counters unless some row can exceed the
+budget (see :meth:`~repro.simulator.bandwidth.BandwidthPolicy.charge_rows`).
 
-* **Batched send buffers.**  Algorithms implementing the opt-in
-  :class:`~repro.simulator.node.ColumnarProtocol` (currently
-  ``triangle``-family and ``robust2hop``) compose one round's entire traffic
-  into a shared :class:`SendBuffer` -- a struct-of-arrays of parallel
-  ``senders`` / ``targets`` / ``edges`` / ``ops`` / ``patterns`` /
-  ``empty_flags`` columns -- instead of allocating an
-  :class:`~repro.simulator.messages.Envelope` (plus payload dataclass plus
-  per-node dict) per link.  Routing groups rows by receiver in one sweep and
-  delivery walks the grouped rows through the exact same message handlers
-  the per-envelope path uses.
-* **Bulk validation and bandwidth charging.**  Target validation is one
-  vectorized gather over the :class:`~repro.simulator.network.AdjacencyMirror`
-  bitset (falling back to a packed-key sweep); only when a row fails does the
-  engine re-walk the buffer in order to raise the exact per-message error the
-  dense engine would.  Bandwidth accounting is computed from three row
-  counters in O(1) when no envelope can exceed the budget, with a per-row
-  fallback that reproduces violation records and strict-mode raise order
-  exactly.
-
-A **quiet-round fast path** recognizes rounds where the active set is
-provably empty (no changes, no dirty nodes, nobody sent last round, no fault
-resets) and reduces them to one topology tick plus one metrics record --
-the dominant round shape in settle/drain-heavy workloads.
-
-Algorithms without a columnar port run the sparse per-node path inside this
-same engine, so every registered algorithm works under
-``engine_mode="columnar"``.  In *all* cases the engine produces bit-identical
-:class:`~repro.simulator.metrics.RoundRecord` streams, traces, bandwidth
-accounting, fault statistics and final node state versus the dense and
-sparse engines -- pinned by the differential harness exactly as for PR 3's
-sparse engine.
+Both transports produce bit-identical
+:class:`~repro.simulator.metrics.RoundRecord` streams, bandwidth accounting,
+fault statistics and final node state; the differential harness pins this by
+running the dense policy (always per-envelope) against the sparse one.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..obs.telemetry import SIZE_BUCKETS, TELEMETRY
-from .bandwidth import BandwidthExceededError, BandwidthPolicy, BandwidthViolation
-from .events import RoundChanges
-from .messages import Envelope, id_bits
-from .metrics import MetricsCollector, RoundRecord
-from .network import AdjacencyMirror, DynamicNetwork, NodeIndication
-from .node import NodeAlgorithm
-from .rounds import MessageTargetError, SparseRoundEngine, _EMPTY_INBOX
+from .messages import id_bits
 
-__all__ = ["ColumnarRoundEngine", "SendBuffer"]
+__all__ = ["SendBuffer", "batch_port"]
 
 
 class SendBuffer:
     """One round's outgoing traffic as a struct of parallel arrays.
 
     Each row is one **non-silent** envelope: ``senders[i] -> targets[i]``
-    carrying ``edges[i]`` / ``ops[i]`` / ``patterns[i]`` as payload (all three
-    ``None`` for a payload-free "queue non-empty" control signal) with the
-    envelope's ``IsEmpty`` bit in ``empty_flags[i]``.  The three counters let
-    the engine price the whole buffer in O(1): a row costs
+    carrying ``edges[i]`` / ``ops[i]`` / ``patterns[i]`` as an edge-event
+    payload (all three ``None`` for a payload-free "queue non-empty" control
+    signal) with the envelope's ``IsEmpty`` bit in ``empty_flags[i]``.  The
+    three counters price the whole buffer in O(1): a row costs
     ``2 * id_bits(n) + 2`` payload bits when it carries an edge event plus
     one control bit when ``empty_flags`` is ``False``.
     """
@@ -114,353 +88,41 @@ class SendBuffer:
             0 if self.empty_flags[i] else 1
         )
 
+    def price(self, n: int) -> Tuple[int, int, Iterator[Tuple[int, int, int]]]:
+        """``(total bits, largest row's bits, rows)`` for an ``n``-node network.
 
-def _columnar_port(cls) -> bool:
-    """Whether ``cls`` can be scheduled through its columnar classmethods.
-
-    The class (or an ancestor) must provide ``columnar_compose`` /
-    ``columnar_deliver``, and neither ``compose_messages`` nor
-    ``on_messages`` may be overridden *below* the class that provided them --
-    a subclass that changes the per-envelope hooks without re-porting the
-    batched ones would silently diverge, so it falls back to the per-node
-    path instead.
-    """
-    mro = cls.__mro__
-    owner_idx = next(
-        (i for i, k in enumerate(mro) if "columnar_compose" in k.__dict__), None
-    )
-    if owner_idx is None or not any("columnar_deliver" in k.__dict__ for k in mro):
-        return False
-    for name in ("compose_messages", "on_messages"):
-        definer_idx = next(i for i, k in enumerate(mro) if name in k.__dict__)
-        if definer_idx < owner_idx:
-            return False
-    return True
-
-
-class ColumnarRoundEngine(SparseRoundEngine):
-    """Sparse scheduling plus columnar message routing (see module docstring)."""
-
-    #: Row count below which the vectorized bitset validation is skipped
-    #: (numpy call overhead exceeds the packed-key sweep for tiny buffers).
-    VECTOR_MIN_ROWS = 32
-
-    def __init__(
-        self,
-        network: DynamicNetwork,
-        nodes: Mapping[int, NodeAlgorithm],
-        bandwidth: Optional[BandwidthPolicy] = None,
-        metrics: Optional[MetricsCollector] = None,
-        faults=None,
-    ) -> None:
-        super().__init__(network, nodes, bandwidth, metrics, faults)
-        self._mirror = AdjacencyMirror(network)
-        self._buf = SendBuffer()
-        # The batched path needs one homogeneous ported class: mixed
-        # populations would interleave per-class buffers and break the
-        # ascending-sender row order the delivery identity depends on.
-        kinds = {type(algo) for algo in self.nodes.values()}
-        self._port_cls = None
-        if len(kinds) == 1:
-            cls = kinds.pop()
-            if _columnar_port(cls):
-                self._port_cls = cls
-
-    # ------------------------------------------------------------------ #
-    # Round execution
-    # ------------------------------------------------------------------ #
-    def execute_round(self, changes: RoundChanges) -> RoundRecord:
-        round_index = self.network.round_index + 1
-        n = self.network.n
-        nodes = self.nodes
-        tel = TELEMETRY
-        tel_on = tel.enabled
-        tracer = tel.tracer if tel_on else None
-        faults = self.faults
-        resets = faults.resets_for_round(round_index) if faults is not None else ()
-
-        # Quiet-round fast path: with no changes, no resets, nothing dirty
-        # and nobody having sent last round, the active set is empty -- no
-        # hook runs, no inbox fills, no verdict can flip.  The full sparse
-        # sweep below would compute exactly that through four set unions and
-        # an empty sweep; short-circuit it to one topology tick plus one
-        # (identical) metrics record.  Skipped under telemetry so the
-        # per-stage spans and histograms stay faithful.
-        if (
-            not tel_on
-            and not changes.events
-            and not resets
-            and not self._dirty
-            and not self._sent_last_round
-        ):
-            self.network.apply_changes(round_index, changes)
-            self._last_touched = set()
-            self._last_inconsistent = sorted(self._inconsistent)
-            return self.metrics.record_round_delta(
-                round_index=round_index,
-                num_changes=0,
-                became_inconsistent=(),
-                became_consistent=(),
-                num_envelopes=0,
-                bits_sent=0,
-            )
-
-        if tel_on:
-            t_round = t0 = perf_counter()
-
-        # Stage 1: topology changes and local indications.
-        indications = self.network.apply_changes(round_index, changes)
-        if resets:
-            for v in resets:
-                fresh = faults.fresh_node(v, n)
-                if self._port_cls is not None and type(fresh) is not self._port_cls:
-                    # A fault plan rebuilding nodes as a different class
-                    # breaks the homogeneity invariant; degrade permanently
-                    # to the per-node path rather than mis-batching.
-                    self._port_cls = None
-                nodes[v] = fresh
-        drops = faults is not None and faults.affects_delivery
-
-        active = sorted(
-            set(indications) | self._dirty | self._sent_last_round | set(resets)
-        )
-        if tel_on:
-            t1 = perf_counter()
-            tel.record_span("engine.indications", t1 - t0)
-
-        # Stage 2: react.
-        for v in active:
-            ind = indications.get(v, NodeIndication.empty())
-            nodes[v].on_topology_change(round_index, ind.inserted, ind.deleted)
-        if tel_on:
-            t2 = perf_counter()
-            react_s = t2 - t1
-
-        num_envelopes = 0
-        bits_sent = 0
-        sent_now: Set[int] = set()
-        compose_s = 0.0
-
-        if self._port_cls is not None:
-            # ---- columnar send: batched compose + bulk route ---- #
-            buf = self._buf
-            buf.clear()
-            if tel_on:
-                c0 = perf_counter()
-            self._port_cls.columnar_compose(nodes, active, round_index, buf)
-            if tel_on:
-                compose_s = perf_counter() - c0
-            m = len(buf)
-            if m:
-                mirror = self._mirror
-                mirror.sync()
-                if not mirror.pairs_all_exist(buf.senders, buf.targets):
-                    self._raise_first_bad_target(round_index, buf)
-                num_envelopes = m
-                sent_now = set(buf.senders)
-                payload_bits = 2 * id_bits(n) + 2
-                bits_sent = payload_bits * buf.payload_rows + buf.flag_rows
-                self._charge_bulk(round_index, buf, payload_bits, n)
-            groups = self._group_rows(round_index, buf, drops)
-            if tel_on:
-                t3 = perf_counter()
-                tel.record_span("engine.compute", react_s + compose_s)
-                tel.record_span("engine.route", (t3 - t2) - compose_s)
-
-            # Stage 3: receive & update over grouped rows.
-            touched = sorted(set(active) | set(groups))
-            self._port_cls.columnar_deliver(nodes, round_index, touched, buf, groups)
-            if tel_on:
-                t4 = perf_counter()
-                tel.record_span("engine.deliver", t4 - t3)
-            fanouts = [len(rows) for rows in groups.values()] if tel_on else ()
-        else:
-            # ---- fallback: the sparse per-node path, verbatim ---- #
-            inboxes: Dict[int, Dict[int, Envelope]] = {}
-            for v in active:
-                if tel_on:
-                    c0 = perf_counter()
-                outgoing = nodes[v].compose_messages(round_index)
-                if tel_on:
-                    compose_s += perf_counter() - c0
-                for target, envelope in outgoing.items():
-                    if target == v:
-                        raise MessageTargetError(
-                            f"node {v} attempted to message itself"
-                        )
-                    if not self.network.has_edge(v, target):
-                        raise MessageTargetError(
-                            f"round {round_index}: node {v} addressed non-neighbor {target}"
-                        )
-                    size = self.bandwidth.charge(round_index, v, target, envelope, n)
-                    if not envelope.is_silent:
-                        num_envelopes += 1
-                        bits_sent += size
-                        sent_now.add(v)
-                        if drops and faults.message_dropped(round_index, v, target):
-                            continue
-                        inboxes.setdefault(target, {})[v] = envelope
-            if tel_on:
-                t3 = perf_counter()
-                tel.record_span("engine.compute", react_s + compose_s)
-                tel.record_span("engine.route", (t3 - t2) - compose_s)
-
-            touched = sorted(set(active) | set(inboxes))
-            for v in touched:
-                nodes[v].on_messages(round_index, inboxes.get(v, _EMPTY_INBOX))
-            if tel_on:
-                t4 = perf_counter()
-                tel.record_span("engine.deliver", t4 - t3)
-            fanouts = [len(inbox) for inbox in inboxes.values()] if tel_on else ()
-
-        # Stage 4: query window, delta accounting (as in the sparse engine).
-        became_inconsistent: List[int] = []
-        became_consistent: List[int] = []
-        inconsistent = self._inconsistent
-        dirty = self._dirty
-        for v in touched:
-            algo = nodes[v]
-            if algo.is_consistent():
-                if v in inconsistent:
-                    inconsistent.discard(v)
-                    became_consistent.append(v)
-            elif v not in inconsistent:
-                inconsistent.add(v)
-                became_inconsistent.append(v)
-            if algo.is_quiescent():
-                dirty.discard(v)
-            else:
-                dirty.add(v)
-
-        self._sent_last_round = sent_now
-        self._last_touched = set(touched)
-        self._last_inconsistent = sorted(inconsistent)
-        record = self.metrics.record_round_delta(
-            round_index=round_index,
-            num_changes=len(changes),
-            became_inconsistent=became_inconsistent,
-            became_consistent=became_consistent,
-            num_envelopes=num_envelopes,
-            bits_sent=bits_sent,
-        )
-        if tel_on:
-            t5 = perf_counter()
-            tel.record_span("engine.query", t5 - t4)
-            tel.record_span("engine.round", t5 - t_round)
-            if tracer is not None:
-                tracer.add("engine.indications", t0, t1, round_index=round_index, mode="columnar")
-                tracer.add("engine.react", t1, t2, round_index=round_index, mode="columnar")
-                tracer.add("engine.send", t2, t3, round_index=round_index, mode="columnar")
-                tracer.add("engine.deliver", t3, t4, round_index=round_index, mode="columnar")
-                tracer.add("engine.query", t4, t5, round_index=round_index, mode="columnar")
-                tracer.add("engine.round", t_round, t5, round_index=round_index, mode="columnar")
-            tel.count("engine.rounds")
-            tel.count("engine.envelopes", num_envelopes)
-            tel.count("engine.quiescent_skips", n - len(touched))
-            tel.observe("engine.active_set", len(active), SIZE_BUCKETS)
-            tel.observe("engine.touched_set", len(touched), SIZE_BUCKETS)
-            for fanout in fanouts:
-                tel.observe("engine.inbox_fanout", fanout, SIZE_BUCKETS)
-            tel.tick()
-        return record
-
-    # ------------------------------------------------------------------ #
-    # Columnar routing helpers
-    # ------------------------------------------------------------------ #
-    def _raise_first_bad_target(self, round_index: int, buf: SendBuffer) -> None:
-        """Re-walk the buffer in row order and raise the exact dense error."""
-        network = self.network
-        for v, target in zip(buf.senders, buf.targets):
-            if target == v:
-                raise MessageTargetError(f"node {v} attempted to message itself")
-            if not network.has_edge(v, target):
-                raise MessageTargetError(
-                    f"round {round_index}: node {v} addressed non-neighbor {target}"
-                )
-        raise AssertionError("pairs_all_exist reported a bad row but none found")
-
-    def _charge_bulk(
-        self, round_index: int, buf: SendBuffer, payload_bits: int, n: int
-    ) -> None:
-        """Bandwidth accounting for the whole buffer.
-
-        All rows are non-silent and sized by the counters, so when even the
-        largest possible row fits the budget the aggregate update is exact
-        and O(1).  Otherwise fall back to charging row by row, which
-        reproduces the per-violation records and the strict-mode raise on
-        the first offending row (dense row order) bit-for-bit.
+        The totals come from the counters in O(1); ``rows`` lazily yields
+        ``(sender, target, size)`` in row order for the per-row fallback of
+        :meth:`~repro.simulator.bandwidth.BandwidthPolicy.charge_rows`.
         """
-        bw = self.bandwidth
-        if buf.payload_flag_rows:
-            max_size = payload_bits + 1
-        elif buf.payload_rows:
-            max_size = payload_bits
-        elif buf.flag_rows:
-            max_size = 1
+        payload_bits = 2 * id_bits(n) + 2
+        if self.payload_flag_rows:
+            largest = payload_bits + 1
+        elif self.payload_rows:
+            largest = payload_bits
         else:
-            max_size = 0
-        if max_size <= bw.budget_bits(n):
-            bw.total_envelopes += len(buf)
-            bw.total_bits += payload_bits * buf.payload_rows + buf.flag_rows
-            if max_size > bw.max_observed_bits:
-                bw.max_observed_bits = max_size
-            return
-        for i in range(len(buf)):
-            self._charge_row(round_index, buf, i, payload_bits, n)
+            largest = 1 if self.flag_rows else 0
+        rows = (
+            (sender, target, self.row_size_bits(i, payload_bits))
+            for i, (sender, target) in enumerate(zip(self.senders, self.targets))
+        )
+        return payload_bits * self.payload_rows + self.flag_rows, largest, rows
 
-    def _charge_row(
-        self, round_index: int, buf: SendBuffer, i: int, payload_bits: int, n: int
-    ) -> int:
-        """Charge one row exactly like ``BandwidthPolicy.charge`` would.
-
-        Rebuilding an :class:`Envelope` (plus payload message) per row solely
-        for pricing would defeat the columnar layout, so the row is priced
-        directly and the policy's accounting/violation steps are replayed in
-        the same order.
-        """
-        size = buf.row_size_bits(i, payload_bits)
-        bw = self.bandwidth
-        bw.total_envelopes += 1
-        bw.total_bits += size
-        if size > bw.max_observed_bits:
-            bw.max_observed_bits = size
-        budget = bw.budget_bits(n)
-        if size > budget:
-            sender = buf.senders[i]
-            receiver = buf.targets[i]
-            bw.violations.append(
-                BandwidthViolation(
-                    round_index=round_index,
-                    sender=sender,
-                    receiver=receiver,
-                    size_bits=size,
-                    budget_bits=budget,
-                )
-            )
-            if bw.strict:
-                raise BandwidthExceededError(
-                    f"round {round_index}: envelope {sender}->{receiver} uses "
-                    f"{size} bits, budget is {budget} bits"
-                )
-        return size
-
-    def _group_rows(
-        self, round_index: int, buf: SendBuffer, drops: bool
-    ) -> Dict[int, List[int]]:
-        """Group surviving row indices by receiver (ascending row order).
+    def group(self, dropped: Optional[Callable[[int, int], bool]] = None) -> Dict[int, List[int]]:
+        """Row indices by receiver, each group in ascending row order.
 
         Rows are appended sender-ascending (the active sweep is sorted), so
         each receiver's group lists its senders in exactly the order the
-        per-envelope engines insert inbox keys.  Dropped rows were already
-        charged and counted; they just never join a group ("sent-but-lost").
+        per-envelope transport inserts inbox keys.  Rows ``dropped(sender,
+        target)`` reports lost were charged and counted already; they just
+        join no group ("sent-but-lost").
         """
         groups: Dict[int, List[int]] = {}
-        targets = buf.targets
-        if drops:
-            dropped = self.faults.message_dropped
-            senders = buf.senders
+        targets = self.targets
+        if dropped is not None:
+            senders = self.senders
             for i in range(len(targets)):
-                if dropped(round_index, senders[i], targets[i]):
+                if dropped(senders[i], targets[i]):
                     continue
                 group = groups.get(targets[i])
                 if group is None:
@@ -475,3 +137,41 @@ class ColumnarRoundEngine(SparseRoundEngine):
                 else:
                     group.append(i)
         return groups
+
+
+def _columnar_port(cls) -> bool:
+    """Whether ``cls`` can be scheduled through its columnar classmethods.
+
+    The class (or an ancestor) must provide ``columnar_compose`` /
+    ``columnar_deliver``, and neither ``compose_messages`` nor
+    ``on_messages`` may be overridden *below* the class that provided them --
+    a subclass that changes the per-envelope hooks without re-porting the
+    batched ones would silently diverge, so it stays on the per-envelope
+    transport instead.
+    """
+    mro = cls.__mro__
+    owner_idx = next(
+        (i for i, k in enumerate(mro) if "columnar_compose" in k.__dict__), None
+    )
+    if owner_idx is None or not any("columnar_deliver" in k.__dict__ for k in mro):
+        return False
+    for name in ("compose_messages", "on_messages"):
+        definer_idx = next(i for i, k in enumerate(mro) if name in k.__dict__)
+        if definer_idx < owner_idx:
+            return False
+    return True
+
+
+def batch_port(nodes: Iterable) -> Optional[type]:
+    """The class whose batch transport can carry rounds over ``nodes``, if any.
+
+    The batched path needs one homogeneous ported class: mixed populations
+    would interleave per-class buffers and break the ascending-sender row
+    order the delivery identity depends on.
+    """
+    kinds = {type(algo) for algo in nodes}
+    if len(kinds) == 1:
+        cls = kinds.pop()
+        if _columnar_port(cls):
+            return cls
+    return None

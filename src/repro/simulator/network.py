@@ -15,16 +15,11 @@ sake of analysis".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Mapping, Optional, Set
 
 from .events import Edge, EdgeDelete, EdgeInsert, RoundChanges, TopologyEvent, canonical_edge
 
-try:  # numpy backs the columnar mirror; the core simulator runs without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-__all__ = ["NodeIndication", "DynamicNetwork", "AdjacencyMirror", "TopologyError"]
+__all__ = ["NodeIndication", "DynamicNetwork", "TopologyError"]
 
 
 class TopologyError(ValueError):
@@ -297,138 +292,3 @@ class DynamicNetwork:
             f"edges={len(self._edges)}, changes={self._total_changes})"
         )
 
-
-class AdjacencyMirror:
-    """Array-backed adjacency view of a :class:`DynamicNetwork`.
-
-    The columnar round engine validates and routes whole per-round send
-    buffers at once; for that it needs adjacency in a shape that supports
-    bulk membership tests instead of per-edge ``frozenset`` lookups.  The
-    mirror maintains, incrementally from :attr:`DynamicNetwork.last_changes`:
-
-    * ``_edge_keys`` -- the current edge set as packed integers
-      ``min * n + max`` (one set lookup per pair, no tuple allocation);
-    * ``degrees`` -- a numpy ``int64`` degree vector;
-    * a packed ``uint64`` adjacency bitset (both directions) for networks up
-      to :data:`BITSET_MAX_N` nodes, which lets :meth:`pairs_all_exist`
-      answer "does every (sender, target) pair exist?" with a handful of
-      vectorized gathers.
-
-    :meth:`sync` applies exactly the last applied batch when the mirror saw
-    the preceding round, and falls back to a full rebuild otherwise, so it
-    can be attached to a network at any point in its life.  Without numpy the
-    mirror degrades to the packed-key set (still allocation-free per lookup).
-    """
-
-    #: Largest ``n`` for which the dense bitset (``n * n`` bits) is kept.
-    BITSET_MAX_N = 4096
-
-    def __init__(self, network: DynamicNetwork) -> None:
-        self.network = network
-        self.n = network.n
-        self._words = (self.n + 63) // 64
-        self._synced_changes = -1
-        self._edge_keys: Set[int] = set()
-        self.degrees = _np.zeros(self.n, dtype=_np.int64) if _np is not None else None
-        self._bits = (
-            _np.zeros(self.n * self._words, dtype=_np.uint64)
-            if _np is not None and self.n <= self.BITSET_MAX_N
-            else None
-        )
-        self._rebuild()
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-    def sync(self) -> None:
-        """Bring the mirror up to date with the network.
-
-        Incremental when exactly the network's last applied batch is unseen
-        (the common case: the engine syncs once per round, right after the
-        topology stage); otherwise rebuilds from the full edge set.
-        """
-        net = self.network
-        total = net.total_changes
-        if total == self._synced_changes:
-            return
-        last = net.last_changes
-        if last is not None and self._synced_changes + len(last) == total:
-            for ev in last:
-                a, b = ev.edge
-                if ev.is_insert:
-                    self._add_edge(a, b)
-                else:
-                    self._remove_edge(a, b)
-        else:
-            self._rebuild()
-        self._synced_changes = total
-
-    def _rebuild(self) -> None:
-        self._edge_keys.clear()
-        if self.degrees is not None:
-            self.degrees[:] = 0
-        if self._bits is not None:
-            self._bits[:] = 0
-        for a, b in self.network.edges:
-            self._add_edge(a, b)
-        self._synced_changes = self.network.total_changes
-
-    def _add_edge(self, a: int, b: int) -> None:
-        self._edge_keys.add((a * self.n + b) if a < b else (b * self.n + a))
-        if self.degrees is not None:
-            self.degrees[a] += 1
-            self.degrees[b] += 1
-        if self._bits is not None:
-            bits = self._bits
-            bits[a * self._words + (b >> 6)] |= _np.uint64(1 << (b & 63))
-            bits[b * self._words + (a >> 6)] |= _np.uint64(1 << (a & 63))
-
-    def _remove_edge(self, a: int, b: int) -> None:
-        self._edge_keys.discard((a * self.n + b) if a < b else (b * self.n + a))
-        if self.degrees is not None:
-            self.degrees[a] -= 1
-            self.degrees[b] -= 1
-        if self._bits is not None:
-            bits = self._bits
-            bits[a * self._words + (b >> 6)] &= _np.uint64(~(1 << (b & 63)) & (2**64 - 1))
-            bits[b * self._words + (a >> 6)] &= _np.uint64(~(1 << (a & 63)) & (2**64 - 1))
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge ``{u, v}`` exists (packed-key lookup)."""
-        key = (u * self.n + v) if u < v else (v * self.n + u)
-        return key in self._edge_keys
-
-    def pairs_all_exist(self, senders: Sequence[int], targets: Sequence[int]) -> bool:
-        """Whether every ``(senders[i], targets[i])`` pair is a current edge.
-
-        The happy-path bulk check of the columnar engine's validation stage:
-        one vectorized gather over the bitset when available, a packed-key
-        sweep otherwise.  Self-pairs and out-of-range ids report ``False``
-        (the caller re-walks the rows in order to raise the exact error).
-        """
-        m = len(senders)
-        if m == 0:
-            return True
-        self.sync()
-        if self._bits is not None and m >= 32:
-            s = _np.fromiter(senders, dtype=_np.int64, count=m)
-            t = _np.fromiter(targets, dtype=_np.int64, count=m)
-            if ((s < 0) | (s >= self.n) | (t < 0) | (t >= self.n)).any():
-                return False
-            words = self._bits[s * self._words + (t >> 6)]
-            return bool(((words >> (t & 63).astype(_np.uint64)) & _np.uint64(1)).all())
-        n = self.n
-        keys = self._edge_keys
-        for u, v in zip(senders, targets):
-            if ((u * n + v) if u < v else (v * n + u)) not in keys:
-                return False
-        return True
-
-    def degree(self, v: int) -> int:
-        """Current degree of ``v`` (mirrors :meth:`DynamicNetwork.degree`)."""
-        if self.degrees is not None:
-            return int(self.degrees[v])
-        return self.network.degree(v)

@@ -139,12 +139,12 @@ class QuiescenceProtocol(Protocol):
 
 @runtime_checkable
 class ColumnarProtocol(Protocol):
-    """The batched send/receive surface consumed by the columnar round engine.
+    """The batched send/receive surface of the sparse policy's batch transport.
 
-    An algorithm class implementing this protocol lets the
-    :class:`~repro.simulator.columnar.ColumnarRoundEngine` run the *react &
-    send* and *receive & update* half-rounds over **all** of the class's
-    active nodes at once, writing rows into a shared per-round
+    When every node of a population is an instance of one class implementing
+    this protocol, the :class:`~repro.simulator.rounds.SparseRoundEngine`
+    runs the *react & send* and *receive & update* half-rounds over **all**
+    of the active nodes at once, writing rows into a shared per-round
     :class:`~repro.simulator.columnar.SendBuffer` (struct-of-arrays: parallel
     ``senders`` / ``targets`` / ``edges`` / ``ops`` / ``patterns`` /
     ``empty_flags`` columns) instead of allocating one
@@ -153,7 +153,7 @@ class ColumnarProtocol(Protocol):
     :func:`state_fingerprint` are untouched -- only the message traffic is
     columnar.
 
-    Contract (pinned by the differential identity gate):
+    Contract (pinned by the dense-vs-sparse differential identity gate):
 
     * ``columnar_compose`` must mutate each sender exactly as
       ``compose_messages`` would (queue dequeues included) and append one row
@@ -168,9 +168,10 @@ class ColumnarProtocol(Protocol):
       group entry received nothing and must still run their empty-inbox
       update.
 
-    Classes not implementing the protocol fall back to the sparse per-node
-    path inside the same engine, so every registered algorithm still runs
-    under ``engine_mode="columnar"``.
+    Classes not implementing the protocol, mixed populations, and subclasses
+    that override ``compose_messages`` or ``on_messages`` without re-porting
+    these classmethods stay on the per-envelope transport, so every
+    registered algorithm runs under both scheduling policies.
     """
 
     @classmethod

@@ -39,12 +39,7 @@ from .messages import Envelope
 from .metrics import MetricsCollector, RoundRecord
 from .network import DynamicNetwork, NodeIndication
 from .node import AlgorithmFactory
-from .rounds import MessageTargetError
-
-#: Per-worker scheduling modes the sharded coordinator supports.  The
-#: columnar engine batches across the whole node population and is
-#: single-process by design, so it is deliberately absent here.
-_SHARDED_MODES = ("dense", "sparse")
+from .rounds import ENGINE_MODES, MessageTargetError
 
 __all__ = ["ShardedRoundEngine", "shard_nodes"]
 
@@ -243,8 +238,8 @@ class ShardedRoundEngine:
         mode: str = "sparse",
         faults=None,
     ) -> None:
-        if mode not in _SHARDED_MODES:
-            raise ValueError(f"mode must be one of {_SHARDED_MODES}, got {mode!r}")
+        if mode not in ENGINE_MODES:
+            raise ValueError(f"mode must be one of {ENGINE_MODES}, got {mode!r}")
         self.network = DynamicNetwork(n)
         self.bandwidth = bandwidth if bandwidth is not None else BandwidthPolicy()
         self.metrics = metrics if metrics is not None else MetricsCollector()

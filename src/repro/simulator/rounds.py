@@ -19,29 +19,39 @@ The engine is deterministic: given the same adversary schedule and algorithm,
 every run produces identical state, which the test-suite and the trace
 record/replay facility rely on.
 
-Two schedulers implement the model:
+One loop implements the round; a **scheduling policy** decides which nodes
+it visits and a **transport** carries the messages:
 
-* :class:`RoundEngine` -- the *dense* reference scheduler: every node's hooks
-  run every round.
-* :class:`SparseRoundEngine` -- the *activity-proportional* scheduler: it
+* :class:`RoundEngine` -- the *dense* reference policy: every node's hooks
+  run every round, and messages always travel as one
+  :class:`~repro.simulator.messages.Envelope` per link (the per-envelope
+  transport).
+* :class:`SparseRoundEngine` -- the *activity-proportional* policy: it
   tracks the set of nodes that could possibly act this round (received an
   indication, have a non-empty inbox, sent a message last round, or declare
   themselves non-quiescent through the
   :class:`~repro.simulator.node.QuiescenceProtocol`) and runs the hooks only
-  over that set.  For algorithms honouring the quiescence contract the two
-  engines produce bit-identical :class:`~repro.simulator.metrics.RoundRecord`
-  streams and final node state; nodes that never declare quiescence are simply
-  always active, so unported algorithms keep their dense semantics.
+  over that set.  When the population is one class implementing the
+  :class:`~repro.simulator.node.ColumnarProtocol`, its messages travel on
+  the batch transport of :mod:`repro.simulator.columnar` instead.
+
+For algorithms honouring the quiescence contract the two policies produce
+bit-identical :class:`~repro.simulator.metrics.RoundRecord` streams,
+bandwidth accounting and final node state; nodes that never declare
+quiescence are simply always active, so unported algorithms keep their dense
+semantics.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..obs.telemetry import SIZE_BUCKETS, TELEMETRY
 from .bandwidth import BandwidthPolicy
+from .columnar import SendBuffer, batch_port
 from .events import RoundChanges
 from .messages import Envelope
 from .metrics import MetricsCollector, RoundRecord
@@ -50,14 +60,17 @@ from .node import NodeAlgorithm
 
 __all__ = ["RoundEngine", "SparseRoundEngine", "MessageTargetError", "ENGINE_MODES", "create_engine"]
 
-#: The selectable scheduler implementations, keyed by CLI / spec name.
-ENGINE_MODES = ("dense", "sparse", "columnar")
+#: The selectable scheduling policies, keyed by CLI / spec name.
+ENGINE_MODES = ("dense", "sparse")
 
 #: Shared empty inbox handed to nodes that received nothing this round, so
 #: quiet nodes do not cost one dict allocation each per round.  Read-only so
 #: a misbehaving algorithm mutating its ``received`` mapping fails loudly
 #: instead of corrupting every later quiet node in the process.
 _EMPTY_INBOX: Mapping[int, Envelope] = MappingProxyType({})
+
+#: The indication of a node no change touched this round (frozen, shared).
+_NO_INDICATION = NodeIndication.empty()
 
 
 class MessageTargetError(RuntimeError):
@@ -69,8 +82,20 @@ class MessageTargetError(RuntimeError):
     """
 
 
+def _target_error(round_index: int, sender: int, target: int) -> MessageTargetError:
+    """The error for a message from ``sender`` to a node it has no edge to."""
+    if target == sender:
+        return MessageTargetError(f"node {sender} attempted to message itself")
+    return MessageTargetError(
+        f"round {round_index}: node {sender} addressed non-neighbor {target}"
+    )
+
+
 class RoundEngine:
     """Executes rounds of the highly dynamic model over a set of node algorithms.
+
+    This class is the dense scheduling policy (see the module docstring);
+    :class:`SparseRoundEngine` swaps in the activity-proportional one.
 
     Args:
         network: the ground-truth dynamic graph.
@@ -79,6 +104,9 @@ class RoundEngine:
         bandwidth: the per-link bandwidth policy.
         metrics: collector that accumulates the amortized-complexity measures.
     """
+
+    #: The scheduling policy's name: ``"dense"`` visits every node every round.
+    mode = "dense"
 
     def __init__(
         self,
@@ -109,7 +137,26 @@ class RoundEngine:
         #: topology stage, message drops right after send accounting -- so the
         #: realized fault schedule is identical across engine modes.
         self.faults = faults
+        self._sparse = self.mode == "sparse"
+        # Live inconsistent set, updated by delta as verdicts flip.
+        self._inconsistent: Set[int] = set()
         self._last_inconsistent: List[int] = []
+        # Sparse bookkeeping.  Nodes whose algorithm self-reports dirty state:
+        # unported algorithms (default is_quiescent() == False) live here
+        # permanently, which degrades gracefully to the dense schedule.
+        self._dirty: Set[int] = (
+            {v for v, algo in self.nodes.items() if not algo.is_quiescent()}
+            if self._sparse
+            else set()
+        )
+        # Nodes that emitted at least one non-silent envelope last round.
+        self._sent_last_round: Set[int] = set()
+        # Nodes touched (hooks ran) in the most recent round.
+        self._last_touched: Set[int] = set()
+        # The batch transport's ported class, or None for per-envelope
+        # messages.  Dense stays the reference and never batches.
+        self._port = batch_port(self.nodes.values()) if self._sparse else None
+        self._buf = SendBuffer()
 
     # ------------------------------------------------------------------ #
     # Round execution
@@ -119,68 +166,62 @@ class RoundEngine:
 
         Returns the :class:`~repro.simulator.metrics.RoundRecord` of the round.
         """
-        round_index = self.network.round_index + 1
-        n = self.network.n
+        network = self.network
+        round_index = network.round_index + 1
+        n = network.n
+        nodes = self.nodes
+        sparse = self._sparse
         # Telemetry is pure read-only bookkeeping on the monotonic clock;
         # caching the enabled flag keeps the disabled cost at one local bool
         # check per stage and per node.  Stage timings use manual
         # perf_counter checkpoints (not span()) because compute and route are
-        # interleaved in the send loop below.
+        # interleaved in the per-envelope send loop.
         tel = TELEMETRY
         tel_on = tel.enabled
-        tracer = tel.tracer if tel_on else None
         if tel_on:
             t_round = t0 = perf_counter()
 
         # Stage 1: topology changes and local indications.
-        indications = self.network.apply_changes(round_index, changes)
+        indications = network.apply_changes(round_index, changes)
         faults = self.faults
-        if faults is not None:
+        resets = faults.resets_for_round(round_index) if faults is not None else ()
+        for v in resets:
             # Amnesia recoveries: the node comes back blank and then receives
             # this round's (re-insertion) indications like everyone else.
-            for v in faults.resets_for_round(round_index):
-                self.nodes[v] = faults.fresh_node(v, n)
+            fresh = nodes[v] = faults.fresh_node(v, n)
+            if type(fresh) is not self._port:
+                # A fault plan rebuilding nodes as a different class breaks
+                # the one-class invariant; fall back to per-envelope for good.
+                self._port = None
         drops = faults is not None and faults.affects_delivery
+        if sparse:
+            # The nodes that may react or send this round.  Sorted iteration
+            # keeps the dense policy's 0..n-1 order, so any order-sensitive
+            # failure (e.g. which bandwidth violation raises first) is
+            # reproduced exactly.  Reset nodes join unconditionally: their
+            # fresh instance must re-query consistency/quiescence even if no
+            # indication reaches them this round.
+            active: Sequence[int] = sorted(
+                set(indications) | self._dirty | self._sent_last_round | set(resets)
+            )
+        else:
+            active = range(n)
         if tel_on:
             t1 = perf_counter()
             tel.record_span("engine.indications", t1 - t0)
 
-        # Stage 2: react & send.  Inboxes are created lazily: only nodes that
-        # actually receive something get a dict of their own.
-        inboxes: Dict[int, Dict[int, Envelope]] = {}
-        num_envelopes = 0
-        bits_sent = 0
-        for v, algo in self.nodes.items():
-            ind = indications.get(v, NodeIndication.empty())
-            algo.on_topology_change(round_index, ind.inserted, ind.deleted)
+        # Stage 2: react & send.
+        for v in active:
+            ind = indications.get(v, _NO_INDICATION)
+            nodes[v].on_topology_change(round_index, ind.inserted, ind.deleted)
         if tel_on:
             t2 = perf_counter()
             react_s = t2 - t1
-
-        compose_s = 0.0
-        for v, algo in self.nodes.items():
-            if tel_on:
-                c0 = perf_counter()
-            outgoing = algo.compose_messages(round_index)
-            if tel_on:
-                compose_s += perf_counter() - c0
-            for target, envelope in outgoing.items():
-                if target == v:
-                    raise MessageTargetError(f"node {v} attempted to message itself")
-                if not self.network.has_edge(v, target):
-                    raise MessageTargetError(
-                        f"round {round_index}: node {v} addressed non-neighbor {target}"
-                    )
-                size = self.bandwidth.charge(round_index, v, target, envelope, n)
-                if not envelope.is_silent:
-                    num_envelopes += 1
-                    bits_sent += size
-                    # A dropped message is sent-but-lost: it was charged and
-                    # counted above, it just never reaches the inbox, so the
-                    # round records stay identical across engine modes.
-                    if drops and faults.message_dropped(round_index, v, target):
-                        continue
-                    inboxes.setdefault(target, {})[v] = envelope
+        port = self._port
+        send = self._send_batch if port is not None else self._send_envelopes
+        routed, num_envelopes, bits_sent, senders, compose_s = send(
+            round_index, active, drops, tel_on
+        )
         if tel_on:
             t3 = perf_counter()
             # compute = every algorithm callback; route = validation, charging
@@ -188,20 +229,52 @@ class RoundEngine:
             tel.record_span("engine.compute", react_s + compose_s)
             tel.record_span("engine.route", (t3 - t2) - compose_s)
 
-        # Stage 3: receive & update.
-        for v, algo in self.nodes.items():
-            algo.on_messages(round_index, inboxes.get(v, _EMPTY_INBOX))
+        # Stage 3: receive & update.  Under the sparse policy message
+        # recipients join the active set (a quiescent node can be woken only
+        # by an indication, handled above, or by an incoming envelope).
+        touched = sorted(set(active) | set(routed)) if sparse else active
+        if port is not None:
+            port.columnar_deliver(nodes, round_index, touched, self._buf, routed)
+        else:
+            for v in touched:
+                nodes[v].on_messages(round_index, routed.get(v, _EMPTY_INBOX))
         if tel_on:
             t4 = perf_counter()
             tel.record_span("engine.deliver", t4 - t3)
 
-        # Stage 4: query window -- record consistency.
-        inconsistent = [v for v, algo in self.nodes.items() if not algo.is_consistent()]
-        self._last_inconsistent = inconsistent
-        record = self.metrics.record_round(
+        # Stage 4: query window.  Only touched nodes can have flipped their
+        # verdict; everyone else's cached verdict stands.
+        became_inconsistent: List[int] = []
+        became_consistent: List[int] = []
+        inconsistent = self._inconsistent
+        dirty = self._dirty
+        for v in touched:
+            algo = nodes[v]
+            if algo.is_consistent():
+                if v in inconsistent:
+                    inconsistent.discard(v)
+                    became_consistent.append(v)
+            elif v not in inconsistent:
+                inconsistent.add(v)
+                became_inconsistent.append(v)
+            if sparse:
+                # A touched node stays scheduled until it declares quiescence.
+                if algo.is_quiescent():
+                    dirty.discard(v)
+                else:
+                    dirty.add(v)
+        if sparse:
+            # The sender stays scheduled next round even when its envelope is
+            # lost (it *sent*; the drop happens in flight), matching the
+            # dense schedule and the sharded workers' sender-side accounting.
+            self._sent_last_round = senders
+            self._last_touched = set(touched)
+        self._last_inconsistent = sorted(inconsistent)
+        record = self.metrics.record_round_delta(
             round_index=round_index,
             num_changes=len(changes),
-            inconsistent_nodes=inconsistent,
+            became_inconsistent=became_inconsistent,
+            became_consistent=became_consistent,
             num_envelopes=num_envelopes,
             bits_sent=bits_sent,
         )
@@ -209,22 +282,93 @@ class RoundEngine:
             t5 = perf_counter()
             tel.record_span("engine.query", t5 - t4)
             tel.record_span("engine.round", t5 - t_round)
+            tracer = tel.tracer
             if tracer is not None:
                 # Timeline slices must be contiguous, so the interleaved
                 # compute/route region exports as one "engine.send" slice.
-                tracer.add("engine.indications", t0, t1, round_index=round_index, mode="dense")
-                tracer.add("engine.react", t1, t2, round_index=round_index, mode="dense")
-                tracer.add("engine.send", t2, t3, round_index=round_index, mode="dense")
-                tracer.add("engine.deliver", t3, t4, round_index=round_index, mode="dense")
-                tracer.add("engine.query", t4, t5, round_index=round_index, mode="dense")
-                tracer.add("engine.round", t_round, t5, round_index=round_index, mode="dense")
+                mode = self.mode
+                tracer.add("engine.indications", t0, t1, round_index=round_index, mode=mode)
+                tracer.add("engine.react", t1, t2, round_index=round_index, mode=mode)
+                tracer.add("engine.send", t2, t3, round_index=round_index, mode=mode)
+                tracer.add("engine.deliver", t3, t4, round_index=round_index, mode=mode)
+                tracer.add("engine.query", t4, t5, round_index=round_index, mode=mode)
+                tracer.add("engine.round", t_round, t5, round_index=round_index, mode=mode)
             tel.count("engine.rounds")
             tel.count("engine.envelopes", num_envelopes)
-            tel.observe("engine.active_set", n, SIZE_BUCKETS)
-            for inbox in inboxes.values():
-                tel.observe("engine.inbox_fanout", len(inbox), SIZE_BUCKETS)
+            tel.count("engine.quiescent_skips", n - len(touched))
+            tel.observe("engine.active_set", len(active), SIZE_BUCKETS)
+            tel.observe("engine.touched_set", len(touched), SIZE_BUCKETS)
+            for received in routed.values():
+                tel.observe("engine.inbox_fanout", len(received), SIZE_BUCKETS)
             tel.tick()
         return record
+
+    # ------------------------------------------------------------------ #
+    # Transports: each send half returns (routed, envelopes, bits, senders,
+    # compose seconds), where ``routed`` maps a receiver to what it got.
+    # ------------------------------------------------------------------ #
+    def _send_envelopes(
+        self, round_index: int, active: Sequence[int], drops: bool, timed: bool
+    ) -> Tuple[Dict[int, Dict[int, Envelope]], int, int, Set[int], float]:
+        """Per-envelope transport: compose, validate, charge and route each envelope.
+
+        Inboxes are created lazily: only nodes that actually receive
+        something get a dict of their own.
+        """
+        nodes = self.nodes
+        n = self.network.n
+        has_edge = self.network.has_edge
+        charge = self.bandwidth.charge
+        faults = self.faults
+        inboxes: Dict[int, Dict[int, Envelope]] = {}
+        senders: Set[int] = set()
+        num_envelopes = 0
+        bits_sent = 0
+        compose_s = 0.0
+        for v in active:
+            if timed:
+                c0 = perf_counter()
+            outgoing = nodes[v].compose_messages(round_index)
+            if timed:
+                compose_s += perf_counter() - c0
+            for target, envelope in outgoing.items():
+                if target == v or not has_edge(v, target):
+                    raise _target_error(round_index, v, target)
+                size = charge(round_index, v, target, envelope, n)
+                if not envelope.is_silent:
+                    num_envelopes += 1
+                    bits_sent += size
+                    senders.add(v)
+                    # A dropped message is sent-but-lost: it was charged and
+                    # counted above, it just never reaches the inbox, so the
+                    # round records stay identical across engine modes.
+                    if drops and faults.message_dropped(round_index, v, target):
+                        continue
+                    inboxes.setdefault(target, {})[v] = envelope
+        return inboxes, num_envelopes, bits_sent, senders, compose_s
+
+    def _send_batch(
+        self, round_index: int, active: Sequence[int], drops: bool, timed: bool
+    ) -> Tuple[Dict[int, List[int]], int, int, Set[int], float]:
+        """Batch transport: compose one buffer, check and charge it, group rows."""
+        if not active:
+            # Nobody can send: skip the buffer work that dominates quiet rounds.
+            return {}, 0, 0, set(), 0.0
+        buf = self._buf
+        buf.clear()
+        if timed:
+            c0 = perf_counter()
+        self._port.columnar_compose(self.nodes, active, round_index, buf)
+        compose_s = perf_counter() - c0 if timed else 0.0
+        has_edge = self.network.has_edge
+        for v, target in zip(buf.senders, buf.targets):
+            if target == v or not has_edge(v, target):
+                raise _target_error(round_index, v, target)
+        count = len(buf)
+        bits_sent, largest, rows = buf.price(self.network.n)
+        self.bandwidth.charge_rows(round_index, self.network.n, count, bits_sent, largest, rows)
+        dropped = partial(self.faults.message_dropped, round_index) if drops else None
+        return buf.group(dropped), count, bits_sent, set(buf.senders), compose_s
 
     def execute_quiet_round(self) -> RoundRecord:
         """Run one round with no topology changes."""
@@ -247,25 +391,29 @@ class RoundEngine:
     def last_active_nodes(self) -> Optional[Set[int]]:
         """Nodes whose hooks ran in the last round, or ``None`` for "all".
 
-        The dense engine visits every node every round, so it reports
-        ``None``; the sparse engine reports its touched set, which
+        The dense policy visits every node every round, so it reports
+        ``None``; the sparse policy reports its touched set, which
         activity-proportional per-round validators (e.g. the incremental
         oracle checks) use to skip nodes whose local state cannot have
         changed.
         """
-        return None
+        return self._last_touched if self._sparse else None
 
     @property
     def drain_fixpoint(self) -> bool:
         """Whether further quiet rounds provably cannot change any node.
 
-        The dense engine runs every hook every round and therefore never
-        proves a fixpoint; the sparse engine reports ``True`` once its
-        active set is empty (no dirty nodes, nobody sent last round), at
-        which point a quiet round is a no-op and the remaining drain rounds
-        can be batched into their (already-known) outcome.
+        The dense policy runs every hook every round and therefore never
+        proves a fixpoint.  The sparse policy does once the next quiet
+        round's active set -- ``dirty | sent_last_round``, since a quiet
+        round contributes no indications -- is empty: then no hook runs, no
+        inbox fills and no consistency verdict can flip, so the remaining
+        drain rounds can be batched into their (already-known) outcome.  (An
+        *inconsistent* node in this situation has violated the quiescence
+        contract; the drain loops use this property to report that
+        immediately instead of spinning.)
         """
-        return False
+        return self._sparse and not self._dirty and not self._sent_last_round
 
     def run_until_quiet(self, max_rounds: int = 10_000) -> int:
         """Execute quiet rounds until all nodes are consistent.
@@ -307,7 +455,7 @@ class RoundEngine:
 
 
 class SparseRoundEngine(RoundEngine):
-    """A round engine that only touches nodes with something to do.
+    """The activity-proportional scheduling policy.
 
     Per round the engine visits the **active set**: nodes that received a
     topology indication, nodes holding a non-empty inbox, nodes that sent a
@@ -317,6 +465,8 @@ class SparseRoundEngine(RoundEngine):
     -- no callbacks, no inbox allocation, no consistency re-query; their
     cached consistency verdict is carried forward, which is sound because the
     quiescence contract guarantees the skipped hooks would have been no-ops.
+    A population of one :class:`~repro.simulator.node.ColumnarProtocol`
+    class sends on the batch transport.
 
     With every registered algorithm ported to the
     :class:`~repro.simulator.node.QuiescenceProtocol`, wall-clock per round is
@@ -326,188 +476,11 @@ class SparseRoundEngine(RoundEngine):
     :class:`RoundEngine`.
     """
 
-    def __init__(
-        self,
-        network: DynamicNetwork,
-        nodes: Mapping[int, NodeAlgorithm],
-        bandwidth: Optional[BandwidthPolicy] = None,
-        metrics: Optional[MetricsCollector] = None,
-        faults=None,
-    ) -> None:
-        super().__init__(network, nodes, bandwidth, metrics, faults)
-        # Nodes whose algorithm self-reports dirty state.  Unported algorithms
-        # (default is_quiescent() == False) live here permanently, which
-        # degrades gracefully to the dense schedule for them.
-        self._dirty: Set[int] = {
-            v for v, algo in self.nodes.items() if not algo.is_quiescent()
-        }
-        # Nodes that emitted at least one non-silent envelope last round.
-        self._sent_last_round: Set[int] = set()
-        # Live inconsistent set, updated by delta as verdicts flip.
-        self._inconsistent: Set[int] = set()
-        # Nodes touched (hooks ran) in the most recent round.
-        self._last_touched: Set[int] = set()
+    mode = "sparse"
 
-    # ------------------------------------------------------------------ #
-    # Round execution
-    # ------------------------------------------------------------------ #
-    def execute_round(self, changes: RoundChanges) -> RoundRecord:
-        """Run one round over the active set only; mirrors the dense engine."""
-        round_index = self.network.round_index + 1
-        n = self.network.n
-        nodes = self.nodes
-        tel = TELEMETRY
-        tel_on = tel.enabled
-        tracer = tel.tracer if tel_on else None
-        if tel_on:
-            t_round = t0 = perf_counter()
 
-        # Stage 1: topology changes and local indications.
-        indications = self.network.apply_changes(round_index, changes)
-        faults = self.faults
-        resets = faults.resets_for_round(round_index) if faults is not None else ()
-        if resets:
-            for v in resets:
-                nodes[v] = faults.fresh_node(v, n)
-        drops = faults is not None and faults.affects_delivery
-
-        # The nodes that may react or send this round.  Sorted iteration keeps
-        # the relative order of the dense engine's 0..n-1 sweep, so any
-        # order-sensitive failure (e.g. which bandwidth violation raises
-        # first) is reproduced exactly.  Reset nodes join unconditionally:
-        # their fresh instance must re-query consistency/quiescence even if
-        # no indication reaches them this round.
-        active = sorted(
-            set(indications) | self._dirty | self._sent_last_round | set(resets)
-        )
-        if tel_on:
-            t1 = perf_counter()
-            tel.record_span("engine.indications", t1 - t0)
-
-        # Stage 2: react & send, active nodes only.
-        inboxes: Dict[int, Dict[int, Envelope]] = {}
-        num_envelopes = 0
-        bits_sent = 0
-        sent_now: Set[int] = set()
-        for v in active:
-            ind = indications.get(v, NodeIndication.empty())
-            nodes[v].on_topology_change(round_index, ind.inserted, ind.deleted)
-        if tel_on:
-            t2 = perf_counter()
-            react_s = t2 - t1
-
-        compose_s = 0.0
-        for v in active:
-            if tel_on:
-                c0 = perf_counter()
-            outgoing = nodes[v].compose_messages(round_index)
-            if tel_on:
-                compose_s += perf_counter() - c0
-            for target, envelope in outgoing.items():
-                if target == v:
-                    raise MessageTargetError(f"node {v} attempted to message itself")
-                if not self.network.has_edge(v, target):
-                    raise MessageTargetError(
-                        f"round {round_index}: node {v} addressed non-neighbor {target}"
-                    )
-                size = self.bandwidth.charge(round_index, v, target, envelope, n)
-                if not envelope.is_silent:
-                    num_envelopes += 1
-                    bits_sent += size
-                    # The sender stays scheduled next round even when its
-                    # envelope is lost (it *sent*; the drop happens in
-                    # flight), matching the dense engine's dense schedule and
-                    # the sharded workers' sender-side accounting.
-                    sent_now.add(v)
-                    if drops and faults.message_dropped(round_index, v, target):
-                        continue
-                    inboxes.setdefault(target, {})[v] = envelope
-        if tel_on:
-            t3 = perf_counter()
-            tel.record_span("engine.compute", react_s + compose_s)
-            tel.record_span("engine.route", (t3 - t2) - compose_s)
-
-        # Stage 3: receive & update.  Message recipients join the active set
-        # (a quiescent node can be woken only by an indication, handled above,
-        # or by an incoming envelope, handled here).
-        touched = sorted(set(active) | set(inboxes))
-        for v in touched:
-            nodes[v].on_messages(round_index, inboxes.get(v, _EMPTY_INBOX))
-        if tel_on:
-            t4 = perf_counter()
-            tel.record_span("engine.deliver", t4 - t3)
-
-        # Stage 4: query window.  Only touched nodes can have flipped their
-        # verdict; everyone else's cached verdict stands.
-        became_inconsistent: List[int] = []
-        became_consistent: List[int] = []
-        inconsistent = self._inconsistent
-        dirty = self._dirty
-        for v in touched:
-            algo = nodes[v]
-            if algo.is_consistent():
-                if v in inconsistent:
-                    inconsistent.discard(v)
-                    became_consistent.append(v)
-            elif v not in inconsistent:
-                inconsistent.add(v)
-                became_inconsistent.append(v)
-            # Refresh the dirty set from the same sweep: a touched node stays
-            # scheduled until it declares quiescence.
-            if algo.is_quiescent():
-                dirty.discard(v)
-            else:
-                dirty.add(v)
-
-        self._sent_last_round = sent_now
-        self._last_touched = set(touched)
-        self._last_inconsistent = sorted(inconsistent)
-        record = self.metrics.record_round_delta(
-            round_index=round_index,
-            num_changes=len(changes),
-            became_inconsistent=became_inconsistent,
-            became_consistent=became_consistent,
-            num_envelopes=num_envelopes,
-            bits_sent=bits_sent,
-        )
-        if tel_on:
-            t5 = perf_counter()
-            tel.record_span("engine.query", t5 - t4)
-            tel.record_span("engine.round", t5 - t_round)
-            if tracer is not None:
-                tracer.add("engine.indications", t0, t1, round_index=round_index, mode="sparse")
-                tracer.add("engine.react", t1, t2, round_index=round_index, mode="sparse")
-                tracer.add("engine.send", t2, t3, round_index=round_index, mode="sparse")
-                tracer.add("engine.deliver", t3, t4, round_index=round_index, mode="sparse")
-                tracer.add("engine.query", t4, t5, round_index=round_index, mode="sparse")
-                tracer.add("engine.round", t_round, t5, round_index=round_index, mode="sparse")
-            tel.count("engine.rounds")
-            tel.count("engine.envelopes", num_envelopes)
-            tel.count("engine.quiescent_skips", n - len(touched))
-            tel.observe("engine.active_set", len(active), SIZE_BUCKETS)
-            tel.observe("engine.touched_set", len(touched), SIZE_BUCKETS)
-            for inbox in inboxes.values():
-                tel.observe("engine.inbox_fanout", len(inbox), SIZE_BUCKETS)
-            tel.tick()
-        return record
-
-    @property
-    def last_active_nodes(self) -> Optional[Set[int]]:
-        """The touched set of the last round (see :class:`RoundEngine`)."""
-        return self._last_touched
-
-    @property
-    def drain_fixpoint(self) -> bool:
-        """Whether the next quiet round's active set is provably empty.
-
-        A quiet round contributes no indications, so the active set is
-        ``dirty | sent_last_round``; when both are empty no hook runs, no
-        inbox fills, and no consistency verdict can flip -- the engine's
-        state is a fixpoint under quiet rounds.  (An *inconsistent* node in
-        this situation has violated the quiescence contract; the drain loops
-        use this property to report that immediately instead of spinning.)
-        """
-        return not self._dirty and not self._sent_last_round
+#: The engine class of each scheduling policy.
+_ENGINES = {"dense": RoundEngine, "sparse": SparseRoundEngine}
 
 
 def create_engine(
@@ -518,13 +491,7 @@ def create_engine(
     metrics: Optional[MetricsCollector] = None,
     faults=None,
 ) -> RoundEngine:
-    """Build a round engine by mode name (``"dense"``, ``"sparse"`` or ``"columnar"``)."""
+    """Build a round engine by mode name (``"dense"`` or ``"sparse"``)."""
     if mode not in ENGINE_MODES:
         raise ValueError(f"engine mode must be one of {ENGINE_MODES}, got {mode!r}")
-    if mode == "columnar":
-        # Imported lazily: columnar.py imports from this module.
-        from .columnar import ColumnarRoundEngine
-
-        return ColumnarRoundEngine(network, nodes, bandwidth, metrics, faults)
-    cls = SparseRoundEngine if mode == "sparse" else RoundEngine
-    return cls(network, nodes, bandwidth, metrics, faults)
+    return _ENGINES[mode](network, nodes, bandwidth, metrics, faults)

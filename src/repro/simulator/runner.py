@@ -186,10 +186,11 @@ class SimulationRunner:
         record_trace: whether to record the realized schedule for replay.
         validators: per-round validation hooks.
         engine_mode: ``"sparse"`` (default; activity-proportional scheduling
-            via :class:`~repro.simulator.rounds.SparseRoundEngine`) or
-            ``"dense"`` (the reference scheduler visiting every node every
-            round).  Both produce identical results; sparse is markedly
-            faster on large, low-churn networks.
+            via :class:`~repro.simulator.rounds.SparseRoundEngine`, with the
+            batch transport for ported algorithms) or ``"dense"`` (the
+            reference scheduler visiting every node every round).  Both
+            produce identical results; sparse is markedly faster on large,
+            low-churn networks.
     """
 
     def __init__(

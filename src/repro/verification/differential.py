@@ -1,9 +1,9 @@
 """Cross-engine differential verification of experiment cells.
 
-The repo ships four round schedulers -- the dense reference engine, the
-activity-proportional sparse engine, the multi-process sharded engine, and
-the vectorized columnar engine -- that are required to be **bit-identical**:
-same
+The repo ships three round schedulers -- the dense reference policy, the
+activity-proportional sparse policy (which carries ported algorithms on the
+batch transport), and the multi-process sharded engine -- that are required
+to be **bit-identical**: same
 :class:`~repro.simulator.metrics.RoundRecord` stream, same realized topology
 trace, same summary metrics, and same final per-node state.  This module
 turns that requirement into an executable check:
@@ -40,6 +40,7 @@ from ..obs.telemetry import TELEMETRY
 from ..simulator.bandwidth import BandwidthPolicy
 from ..simulator.metrics import RoundRecord
 from ..simulator.parallel import ShardedRoundEngine
+from ..simulator.rounds import ENGINE_MODES
 from ..simulator.runner import SimulationRunner, drive_engine
 from ..simulator.trace import TopologyTrace, TraceRecordingAdversary
 from .checks import (
@@ -65,10 +66,7 @@ __all__ = [
 ]
 
 #: The engine modes a differential run compares by default.
-DEFAULT_MODES: Tuple[str, ...] = ("dense", "sparse", "sharded", "columnar")
-
-#: Modes executed in-process through :func:`run_reference`.
-_SERIAL_MODES = ("dense", "sparse", "columnar")
+DEFAULT_MODES: Tuple[str, ...] = ENGINE_MODES + ("sharded",)
 
 #: RoundRecord fields compared per round, in report order.
 _RECORD_FIELDS = (
@@ -239,7 +237,7 @@ def _summary_of(metrics, bandwidth, n: int, num_edges: int) -> Dict[str, float]:
 def _run_mode(
     spec: ExperimentSpec, mode: str, checks: Sequence[str]
 ) -> Tuple[ModeRun, Dict[str, CheckOutcome]]:
-    if mode in _SERIAL_MODES:
+    if mode in ENGINE_MODES:
         result, outcomes = run_reference(spec, engine_mode=mode, checks=checks)
         fingerprints = {v: algo.state_fingerprint() for v, algo in result.nodes.items()}
         summary = _summary_of(
@@ -397,10 +395,9 @@ def run_differential(
     Args:
         spec: the cell to verify; its ``engine`` / ``engine_mode`` fields are
             ignored (the modes argument decides what runs).
-        modes: two or more of ``"dense"``, ``"sparse"``, ``"sharded"``,
-            ``"columnar"``.  The first *serial* mode acts as the reference
-            leg and is the one the checks run on (checks need direct access
-            to node instances).
+        modes: two or more of ``"dense"``, ``"sparse"`` and ``"sharded"``.
+            The first *serial* mode acts as the reference leg and is the one
+            the checks run on (checks need direct access to node instances).
         checks: check names to run; defaults to ``spec.checks``.
         auto_checks: select every applicable registered check instead.
 
@@ -423,7 +420,7 @@ def run_differential(
         )
     else:
         check_names = tuple(spec.checks if checks is None else checks)
-    serial_modes = [m for m in modes if m in _SERIAL_MODES]
+    serial_modes = [m for m in modes if m in ENGINE_MODES]
     check_mode = serial_modes[0] if serial_modes else None
 
     runs: Dict[str, ModeRun] = {}

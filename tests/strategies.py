@@ -10,8 +10,8 @@ Used by the property-based tests to generate
   random churn adversary, and small sizes/budgets that keep each example fast.
 
 The spec strategy is what the engine differential property tests (dense vs
-sparse vs sharded vs columnar, optionally under fault models and telemetry)
-feed to :func:`repro.verification.run_differential`.
+sparse vs sharded, optionally under fault models and telemetry) feed to
+:func:`repro.verification.run_differential`.
 """
 
 from typing import List, Tuple
@@ -71,6 +71,9 @@ def schedule_to_trace(n: int, rounds) -> dict:
 #: is cheap enough to run dozens of times per test session.
 SPEC_ALGORITHMS = ("robust2hop", "triangle", "clique", "robust3hop", "twohop", "cycles")
 
+#: The subset whose sparse runs take the columnar batch transport.
+PORTED_ALGORITHMS = ("robust2hop", "triangle", "clique")
+
 
 #: Fault models the random-spec strategy draws from, with legal parameter
 #: draws for each (the registry's remaining models are covered by the
@@ -97,7 +100,9 @@ def fault_configs(draw):
 
 
 @st.composite
-def experiment_specs(draw, max_n: int = 9, with_faults: bool = False):
+def experiment_specs(
+    draw, max_n: int = 9, with_faults: bool = False, algorithms=SPEC_ALGORITHMS
+):
     """Generate a small random :class:`ExperimentSpec` cell.
 
     The workload is either the exact schedule of :func:`churn_schedules`
@@ -105,9 +110,9 @@ def experiment_specs(draw, max_n: int = 9, with_faults: bool = False):
     are deterministic given the spec, so the same cell replays identically
     under every engine.  With ``with_faults`` the cell also draws a fault
     model from :data:`_FAULT_AXES` (or none), exercising the engines'
-    fault-overlay paths.
+    fault-overlay paths.  ``algorithms`` narrows the registry names drawn.
     """
-    algorithm = draw(st.sampled_from(SPEC_ALGORITHMS))
+    algorithm = draw(st.sampled_from(algorithms))
     n = draw(st.integers(min_value=5, max_value=max_n))
     fault_kwargs = {}
     if with_faults and draw(st.booleans()):

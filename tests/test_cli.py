@@ -276,7 +276,7 @@ class TestVerifySubcommand:
 
     def test_parser_defaults(self, spec_file):
         args = build_verify_parser().parse_args(["--spec", str(spec_file)])
-        assert args.modes == "dense,sparse,sharded,columnar"
+        assert args.modes == "dense,sparse,sharded"
         assert not args.no_coverage and not args.require_all_checks
 
     def test_verify_dedupes_engine_axis_and_passes(self, spec_file, capsys):
@@ -352,3 +352,35 @@ class TestServeSubcommand:
         code = main(["serve", "--nodes", "8", "--subscriptions", str(subs)])
         assert code == 2
         assert "error: a triangle subscription needs 'members'" in capsys.readouterr().err
+
+
+class TestBandwidthFactorValidation:
+    """A non-positive factor is a usage error on every entry point: exit 2."""
+
+    MESSAGE = "error: bandwidth_factor must be a positive number, got"
+
+    @pytest.mark.parametrize("factor", ["0", "-2"])
+    def test_single_run(self, factor, capsys):
+        code = main(["--nodes", "8", "--rounds", "5", "--bandwidth-factor", factor])
+        assert code == 2
+        assert f"{self.MESSAGE} {factor}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", ["0", "-2"])
+    def test_serve(self, factor, capsys):
+        code = main(["serve", "--nodes", "8", "--rounds", "5", "--bandwidth-factor", factor])
+        assert code == 2
+        assert f"{self.MESSAGE} {factor}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_campaign_spec(self, factor, tmp_path, capsys):
+        spec = {
+            "name": "bad-factor",
+            "base": {"algorithm": "triangle", "adversary": "churn", "n": 8, "rounds": 5,
+                     "bandwidth_factor": factor},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["campaign", "--spec", str(path), "--out", str(tmp_path / "store")])
+        assert code == 2
+        assert f"{self.MESSAGE} {factor}" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()

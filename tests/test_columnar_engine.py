@@ -1,12 +1,14 @@
-"""Tests for the columnar (vectorized) round engine and its substrate.
+"""Tests for the columnar batch transport and its substrate.
 
-The contract under test mirrors the sparse engine's: for every registered
-algorithm -- ported through :class:`ColumnarProtocol` or running on the
-per-node fallback -- the columnar engine's RoundRecord stream, trace,
-bandwidth accounting, fault statistics and final node state are bit-identical
-to the dense and sparse engines, with and without fault models and with
-telemetry on and off.  The adjacency mirror and send buffer underneath are
-covered directly.
+The sparse scheduling policy carries a population of one
+:class:`ColumnarProtocol` class on the batch transport; everything else (and
+the dense policy, always) sends one envelope per link.  The contract under
+test: for every registered algorithm -- ported or not -- the sparse run's
+RoundRecord stream, trace, bandwidth accounting, fault statistics and final
+node state are bit-identical to the dense reference, with and without fault
+models and with telemetry on and off, including the batch transport's error
+paths (per-row bandwidth charging, strict-mode raise, bad targets).  Port
+detection and the send buffer underneath are covered directly.
 """
 
 from __future__ import annotations
@@ -20,17 +22,18 @@ from repro.core import RobustTwoHopNode, TriangleMembershipNode
 from repro.experiments import ALGORITHMS, ExperimentSpec, build_adversary
 from repro.obs import TELEMETRY
 from repro.simulator import (
-    AdjacencyMirror,
-    ColumnarRoundEngine,
+    BandwidthExceededError,
     DynamicNetwork,
-    RoundChanges,
+    Envelope,
+    MessageTargetError,
     SendBuffer,
     SimulationRunner,
+    SparseRoundEngine,
     create_engine,
 )
-from repro.simulator.columnar import _columnar_port
+from repro.simulator.columnar import _columnar_port, batch_port
 from repro.simulator.node import NodeAlgorithm
-from repro.verification import run_differential
+from repro.verification import DEFAULT_MODES, run_differential
 
 
 def _fingerprint(result):
@@ -61,11 +64,11 @@ def _run(algorithm, adversary_name, n, rounds, seed, params, mode, **runner_kwar
     adversary = build_adversary(
         adversary_name, n=n, rounds=rounds, seed=seed, params=params
     )
+    runner_kwargs.setdefault("strict_bandwidth", algorithm != "broadcast")
     runner = SimulationRunner(
         n=n,
         algorithm_factory=ALGORITHMS[algorithm],
         adversary=adversary,
-        strict_bandwidth=algorithm != "broadcast",
         record_trace=True,
         engine_mode=mode,
         **runner_kwargs,
@@ -75,28 +78,32 @@ def _run(algorithm, adversary_name, n, rounds, seed, params, mode, **runner_kwar
 
 CHURN = {"inserts_per_round": 2, "deletes_per_round": 2}
 
+#: The registered algorithms whose sparse runs take the batch transport.
+PORTED = ("triangle", "clique", "robust2hop")
+
 
 class TestColumnarIdentity:
-    """Columnar vs dense vs sparse on ported and fallback algorithms."""
+    """Dense (per-envelope) vs sparse (batch where ported) on every algorithm."""
 
     @pytest.mark.parametrize(
         "algorithm",
         # triangle/clique/robust2hop take the batched path; the rest exercise
-        # the per-node fallback inside the same engine.
+        # the per-envelope transport under the same policy.
         ["triangle", "clique", "robust2hop", "robust3hop", "twohop", "naive", "cycles"],
     )
     def test_random_churn_identical(self, algorithm):
         runs = {
-            mode: _fingerprint(_run(algorithm, "churn", 24, 80, 11, dict(CHURN), mode))
-            for mode in ("dense", "sparse", "columnar")
+            mode: _run(algorithm, "churn", 24, 80, 11, dict(CHURN), mode)
+            for mode in ("dense", "sparse")
         }
-        assert runs["dense"] == runs["columnar"], algorithm
-        assert runs["sparse"] == runs["columnar"], algorithm
+        ported = batch_port(runs["sparse"].nodes.values()) is not None
+        assert ported == (algorithm in PORTED), algorithm
+        assert _fingerprint(runs["dense"]) == _fingerprint(runs["sparse"]), algorithm
 
     def test_flicker_schedule_identical(self):
         for algorithm in ("naive", "triangle", "robust2hop"):
             results = {}
-            for mode in ("dense", "columnar"):
+            for mode in ("dense", "sparse"):
                 runner = SimulationRunner(
                     n=16,
                     algorithm_factory=ALGORITHMS[algorithm],
@@ -105,7 +112,7 @@ class TestColumnarIdentity:
                     engine_mode=mode,
                 )
                 results[mode] = _fingerprint(runner.run())
-            assert results["dense"] == results["columnar"], algorithm
+            assert results["dense"] == results["sparse"], algorithm
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_schedules_property(self, seed):
@@ -121,16 +128,16 @@ class TestColumnarIdentity:
             if adversary_name == "churn"
             else {}
         )
-        algorithm = rng.choice(["triangle", "robust2hop", "clique"])
+        algorithm = rng.choice(list(PORTED))
         dense = _fingerprint(
             _run(algorithm, adversary_name, n, rounds, seed, dict(params), "dense")
         )
-        columnar = _fingerprint(
-            _run(algorithm, adversary_name, n, rounds, seed, dict(params), "columnar")
+        sparse = _fingerprint(
+            _run(algorithm, adversary_name, n, rounds, seed, dict(params), "sparse")
         )
-        assert dense == columnar
+        assert dense == sparse
 
-    def test_differential_harness_all_four_modes(self):
+    def test_differential_harness_all_modes(self):
         spec = ExperimentSpec(
             algorithm="triangle",
             adversary="churn",
@@ -139,14 +146,13 @@ class TestColumnarIdentity:
             seed=5,
             adversary_params=dict(CHURN),
         )
-        report = run_differential(
-            spec, modes=("dense", "sparse", "sharded", "columnar"), auto_checks=True
-        )
+        assert DEFAULT_MODES == ("dense", "sparse", "sharded")
+        report = run_differential(spec, modes=DEFAULT_MODES, auto_checks=True)
         assert report.ok, report.describe()
 
 
 class TestColumnarFaultIdentity:
-    """Fault statistics and drop realizations match the per-envelope engines."""
+    """Fault statistics and drop realizations match the per-envelope transport."""
 
     @pytest.mark.parametrize(
         "faults,fault_params",
@@ -170,7 +176,7 @@ class TestColumnarFaultIdentity:
             faults=faults,
             fault_params=fault_params,
         )
-        report = run_differential(spec, modes=("dense", "sparse", "columnar"))
+        report = run_differential(spec, modes=("dense", "sparse"))
         assert report.ok, report.describe()
 
 
@@ -187,13 +193,102 @@ class TestColumnarTelemetry:
         return fp
 
     def test_telemetry_does_not_perturb(self):
-        plain = _fingerprint(_run("triangle", "churn", 16, 40, 3, dict(CHURN), "columnar"))
-        instrumented = self._run_with_telemetry("columnar")
+        plain = _fingerprint(_run("triangle", "churn", 16, 40, 3, dict(CHURN), "sparse"))
+        instrumented = self._run_with_telemetry("sparse")
         assert instrumented == plain
         assert not TELEMETRY.enabled
 
     def test_telemetry_identical_across_engines(self):
-        assert self._run_with_telemetry("dense") == self._run_with_telemetry("columnar")
+        assert self._run_with_telemetry("dense") == self._run_with_telemetry("sparse")
+
+
+class _StrayTriangle(TriangleMembershipNode):
+    """A ported triangle node that also signals one non-neighbour while busy.
+
+    Both the per-envelope hook and the batched classmethod add the stray
+    message, so the class stays ported and both transports must fail on it.
+    """
+
+    def _stray_target(self) -> int:
+        return next(u for u in range(self.n) if u != self.node_id and u not in self.adj)
+
+    def compose_messages(self, round_index):
+        stray = self._stray_target() if self.Q else None
+        outgoing = super().compose_messages(round_index)
+        if stray is not None:
+            outgoing[stray] = Envelope(payload=None, is_empty=False)
+        return outgoing
+
+    @classmethod
+    def columnar_compose(cls, nodes, senders, round_index, buf):
+        strays = [(v, nodes[v]._stray_target()) for v in senders if nodes[v].Q]
+        super().columnar_compose(nodes, senders, round_index, buf)
+        for v, target in strays:
+            buf.senders.append(v)
+            buf.targets.append(target)
+            buf.edges.append(None)
+            buf.ops.append(None)
+            buf.patterns.append(None)
+            buf.empty_flags.append(False)
+            buf.flag_rows += 1
+
+
+class TestBatchTransportErrorPaths:
+    """The per-row charging fallback and the raises match the dense reference."""
+
+    def _runner(self, algorithm, mode, strict, factory=None):
+        n = 24
+        return SimulationRunner(
+            n=n,
+            algorithm_factory=factory or ALGORITHMS[algorithm],
+            adversary=build_adversary("churn", n=n, rounds=40, seed=3, params=dict(CHURN)),
+            bandwidth_factor=1,
+            strict_bandwidth=strict,
+            engine_mode=mode,
+        )
+
+    @pytest.mark.parametrize("algorithm", ["triangle", "robust2hop"])
+    def test_loose_budget_violations_identical(self, algorithm):
+        """A budget below one row's size sends every round down the per-row path."""
+        bandwidth = {}
+        for mode in ("dense", "sparse"):
+            runner = self._runner(algorithm, mode, strict=False)
+            assert (runner.engine._port is not None) == (mode == "sparse")
+            result = runner.run(num_rounds=40)
+            bandwidth[mode] = result.bandwidth
+        dense, sparse = bandwidth["dense"], bandwidth["sparse"]
+        assert dense.violations, "the budget was meant to be exceeded"
+        assert sparse.violations == dense.violations
+        assert sparse.total_bits == dense.total_bits
+        assert sparse.max_observed_bits == dense.max_observed_bits
+        assert sparse.total_envelopes == dense.total_envelopes
+
+    @pytest.mark.parametrize("algorithm", ["triangle", "robust2hop"])
+    def test_strict_budget_first_error_identical(self, algorithm):
+        messages = {}
+        for mode in ("dense", "sparse"):
+            with pytest.raises(BandwidthExceededError) as excinfo:
+                self._runner(algorithm, mode, strict=True).run(num_rounds=40)
+            messages[mode] = str(excinfo.value)
+        assert messages["sparse"] == messages["dense"]
+        assert "budget is 5 bits" in messages["dense"]
+
+    def test_bad_target_identical(self):
+        assert _columnar_port(_StrayTriangle)
+        messages = {}
+        for mode in ("dense", "sparse"):
+            runner = SimulationRunner(
+                n=24,
+                algorithm_factory=_StrayTriangle,
+                adversary=build_adversary("churn", n=24, rounds=20, seed=3, params=dict(CHURN)),
+                engine_mode=mode,
+            )
+            assert (runner.engine._port is _StrayTriangle) == (mode == "sparse")
+            with pytest.raises(MessageTargetError) as excinfo:
+                runner.run(num_rounds=20)
+            messages[mode] = str(excinfo.value)
+        assert messages["sparse"] == messages["dense"]
+        assert "addressed non-neighbor" in messages["dense"]
 
 
 class TestColumnarFallbackDetection:
@@ -211,8 +306,8 @@ class TestColumnarFallbackDetection:
 
         network = DynamicNetwork(6)
         nodes = {v: ShadowTriangle(v, 6) for v in range(6)}
-        engine = ColumnarRoundEngine(network, nodes)
-        assert engine._port_cls is None
+        engine = SparseRoundEngine(network, nodes)
+        assert engine._port is None
 
     def test_unported_compose_override_falls_back(self):
         class ShadowCompose(TriangleMembershipNode):
@@ -227,25 +322,27 @@ class TestColumnarFallbackDetection:
             v: (TriangleMembershipNode if v % 2 else RobustTwoHopNode)(v, 6)
             for v in range(6)
         }
-        engine = ColumnarRoundEngine(network, nodes)
-        assert engine._port_cls is None
+        engine = SparseRoundEngine(network, nodes)
+        assert engine._port is None
 
     def test_ported_population_detected(self):
         network = DynamicNetwork(6)
         nodes = {v: TriangleMembershipNode(v, 6) for v in range(6)}
-        engine = create_engine("columnar", network, nodes)
-        assert isinstance(engine, ColumnarRoundEngine)
-        assert engine._port_cls is TriangleMembershipNode
+        engine = create_engine("sparse", network, nodes)
+        assert isinstance(engine, SparseRoundEngine)
+        assert engine._port is TriangleMembershipNode
+        # Dense stays the per-envelope reference whatever the population.
+        assert create_engine("dense", network, nodes)._port is None
 
 
 class TestEngineConstructionValidation:
-    """Satellite 3: O(1)-ish validation that still names the offending ids."""
+    """O(1)-ish validation that still names the offending ids."""
 
     def test_missing_node_named(self):
         network = DynamicNetwork(5)
         nodes = {v: TriangleMembershipNode(v, 5) for v in range(4)}
         with pytest.raises(ValueError, match=r"missing ids \[4\]"):
-            ColumnarRoundEngine(network, nodes)
+            SparseRoundEngine(network, nodes)
 
     def test_unexpected_node_named(self):
         network = DynamicNetwork(4)
@@ -264,72 +361,18 @@ class TestEngineConstructionValidation:
 
 class TestSpecRejectsShardedColumnar:
     def test_sharded_engine_columnar_mode_rejected(self):
-        with pytest.raises(ValueError, match="columnar.*requires engine='serial'"):
-            ExperimentSpec(
-                algorithm="triangle",
-                adversary="churn",
-                n=8,
-                engine="sharded",
-                engine_mode="columnar",
-            )
-
-
-class TestAdjacencyMirror:
-    def _apply(self, network, round_index, inserts=(), deletes=()):
-        changes = RoundChanges.of(insert=inserts, delete=deletes)
-        network.apply_changes(round_index, changes)
-
-    def test_incremental_sync_tracks_network(self):
-        rng = random.Random(42)
-        n = 20
-        network = DynamicNetwork(n)
-        mirror = AdjacencyMirror(network)
-        present = set()
-        for r in range(1, 60):
-            inserts, deletes = [], []
-            for _ in range(rng.randint(0, 4)):
-                u, v = sorted(rng.sample(range(n), 2))
-                if (u, v) in present:
-                    deletes.append((u, v))
-                    present.discard((u, v))
-                else:
-                    inserts.append((u, v))
-                    present.add((u, v))
-            self._apply(network, r, inserts, deletes)
-            mirror.sync()
-            for u in range(n):
-                for v in range(u + 1, n):
-                    assert mirror.has_edge(u, v) == network.has_edge(u, v)
-            assert all(
-                mirror.degree(v) == len(network.neighbors(v)) for v in range(n)
-            )
-
-    def test_rebuild_after_missed_rounds(self):
-        """A mirror that skipped rounds falls back to a full rebuild."""
-        n = 10
-        network = DynamicNetwork(n)
-        mirror = AdjacencyMirror(network)
-        self._apply(network, 1, inserts=[(0, 1), (2, 3)])
-        self._apply(network, 2, inserts=[(4, 5)], deletes=[(0, 1)])
-        mirror.sync()  # two batches behind -> rebuild path
-        assert mirror.has_edge(4, 5) and mirror.has_edge(2, 3)
-        assert not mirror.has_edge(0, 1)
-
-    def test_pairs_all_exist_both_paths(self):
-        n = 50
-        network = DynamicNetwork(n)
-        edges = [(u, u + 1) for u in range(0, n - 1)]
-        self._apply(network, 1, inserts=edges)
-        mirror = AdjacencyMirror(network)
-        mirror.sync()
-        senders = [u for u, _ in edges]
-        targets = [v for _, v in edges]
-        # Large batch takes the vectorized bitset path (>= VECTOR_MIN_ROWS).
-        assert mirror.pairs_all_exist(senders, targets)
-        assert not mirror.pairs_all_exist(senders + [0], targets + [49])
-        # Small batch takes the packed-key sweep.
-        assert mirror.pairs_all_exist(senders[:3], targets[:3])
-        assert not mirror.pairs_all_exist([0], [49])
+        """There is no columnar mode any more, sharded or serial."""
+        for engine in ("sharded", "serial"):
+            with pytest.raises(
+                ValueError, match=r"engine_mode must be one of \('dense', 'sparse'\)"
+            ):
+                ExperimentSpec(
+                    algorithm="triangle",
+                    adversary="churn",
+                    n=8,
+                    engine=engine,
+                    engine_mode="columnar",
+                )
 
 
 class TestSendBuffer:
@@ -349,27 +392,31 @@ class TestSendBuffer:
         buf.clear()
         assert len(buf) == 0 and buf.payload_rows == 0
 
+    def test_price_matches_rows(self):
+        buf = SendBuffer()
+        buf.senders += [0, 1, 2]
+        buf.targets += [1, 2, 0]
+        buf.edges += [(0, 1), None, (1, 2)]
+        buf.ops += [None, None, None]
+        buf.patterns += [None, None, None]
+        buf.empty_flags += [True, False, False]
+        buf.payload_rows, buf.flag_rows, buf.payload_flag_rows = 2, 2, 1
+        bits, largest, rows = buf.price(16)  # id_bits(16) = 4 -> payload 10
+        rows = list(rows)
+        assert rows == [(0, 1, 10), (1, 2, 1), (2, 0, 11)]
+        assert bits == sum(size for _, _, size in rows)
+        assert largest == max(size for _, _, size in rows)
 
-class TestQuietRoundFastPath:
-    def test_drain_rounds_identical_to_sparse(self):
-        """Settle-heavy schedule: one burst then many empty rounds."""
-        results = {}
-        for mode in ("sparse", "columnar"):
-            runner = SimulationRunner(
-                n=16,
-                algorithm_factory=ALGORITHMS["triangle"],
-                adversary=build_adversary(
-                    "batch", n=16, rounds=60, seed=2, params={}
-                ),
-                record_trace=True,
-                engine_mode=mode,
-            )
-            results[mode] = _fingerprint(runner.run(num_rounds=60))
-        assert results["sparse"] == results["columnar"]
+    def test_group_keeps_row_order_and_skips_drops(self):
+        buf = SendBuffer()
+        buf.senders += [0, 0, 1, 2]
+        buf.targets += [1, 2, 2, 1]
+        assert buf.group() == {1: [0, 3], 2: [1, 2]}
+        assert buf.group(lambda s, t: s == 0) == {2: [2], 1: [3]}
 
 
 class TestFuzzCorpusAcrossAllModes:
-    """Every committed fuzz reproducer passes the four-way differential."""
+    """Every committed fuzz reproducer passes the all-modes differential."""
 
     def test_corpus_entries_identical_across_modes(self):
         from pathlib import Path
@@ -380,7 +427,5 @@ class TestFuzzCorpusAcrossAllModes:
         entries = [e for e in store.entries() if e.expect == "pass"]
         assert entries, "committed corpus unexpectedly empty"
         for entry in entries:
-            report = run_differential(
-                entry.spec(), modes=("dense", "sparse", "sharded", "columnar")
-            )
+            report = run_differential(entry.spec(), modes=DEFAULT_MODES)
             assert report.ok, (entry.entry_id, report.describe())

@@ -61,6 +61,20 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError, match="serial"):
             ExperimentSpec(engine="sharded", checks=("consistent",))
 
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_non_positive_bandwidth_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="bandwidth_factor must be a positive number"):
+            ExperimentSpec(bandwidth_factor=factor)
+
+    def test_non_positive_bandwidth_factor_rejected_at_campaign_expansion(self):
+        campaign = CampaignSpec(
+            name="bad-factor",
+            base={"algorithm": "triangle", "adversary": "churn", "rounds": 5},
+            grid={"bandwidth_factor": [8, 0]},
+        )
+        with pytest.raises(ValueError, match="bandwidth_factor must be a positive number, got 0"):
+            campaign.expand()
+
     def test_tiny_n_rejected(self):
         with pytest.raises(ValueError, match="n must be"):
             ExperimentSpec(n=1)
@@ -210,6 +224,17 @@ class TestEngineMode:
     def test_bad_engine_mode(self):
         with pytest.raises(ValueError, match="engine_mode"):
             ExperimentSpec(engine_mode="turbo")
+
+    def test_columnar_mode_rejected_with_standard_message(self):
+        with pytest.raises(
+            ValueError, match=r"engine_mode must be one of \('dense', 'sparse'\), got 'columnar'"
+        ):
+            ExperimentSpec(engine_mode="columnar")
+
+    def test_dense_and_sparse_cell_ids_unchanged(self):
+        """Cell ids key campaign resume; pin them for the default cell."""
+        assert ExperimentSpec(engine_mode="sparse").cell_id == "triangle-churn-n16-s0-b01ee9e158"
+        assert ExperimentSpec(engine_mode="dense").cell_id == "triangle-churn-n16-s0-d1c493f8ba"
 
     def test_engine_mode_round_trips(self):
         spec = ExperimentSpec(engine_mode="dense")

@@ -30,7 +30,6 @@ from repro.obs import (
 ENGINE_CONFIGS = [
     pytest.param({"engine_mode": "dense"}, id="dense"),
     pytest.param({"engine_mode": "sparse"}, id="sparse"),
-    pytest.param({"engine_mode": "columnar"}, id="columnar"),
     pytest.param({"engine": "sharded", "num_workers": 2}, id="sharded"),
 ]
 

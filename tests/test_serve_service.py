@@ -82,8 +82,7 @@ class TestCrossEngineIdentity:
 
         reference = run("dense")
         assert reference["fired"] > 0
-        for mode in ("sparse", "columnar"):
-            assert run(mode) == reference
+        assert run("sparse") == reference
 
     def test_edge_subscriptions_identical_across_engines(self):
         def run(mode):
@@ -94,7 +93,6 @@ class TestCrossEngineIdentity:
 
         reference = run("dense")
         assert run("sparse") == reference
-        assert run("columnar") == reference
 
 
 class TestServiceOracleWiring:

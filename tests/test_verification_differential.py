@@ -63,9 +63,9 @@ class TestRunDifferential:
         spec = ExperimentSpec(**CHURN_CELL, num_workers=2)
         report = run_differential(spec, auto_checks=True)
         assert report.ok
-        assert report.modes == ("dense", "sparse", "sharded", "columnar")
+        assert report.modes == ("dense", "sparse", "sharded")
         assert "triangle_oracle" in report.executed_checks
-        assert set(report.summaries) == {"dense", "sparse", "sharded", "columnar"}
+        assert set(report.summaries) == {"dense", "sparse", "sharded"}
         # The report serializes cleanly for --report files.
         json.dumps(report.to_dict())
 
