@@ -16,9 +16,10 @@ depends on these formatting helpers.)
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from ..obs.sink import read_jsonl
 
 __all__ = [
     "format_table",
@@ -80,29 +81,19 @@ def load_results_jsonl(path: str | Path) -> List[Dict[str, Any]]:
     """Load the per-cell records of a campaign result store, oldest first.
 
     ``path`` may be the store's root directory or the ``results.jsonl`` file
-    itself.  Mirrors the store's own tolerance rules: blank and undecodable
-    lines (torn final appends) are skipped, as are records without a
-    ``cell_id``.  The file is split at the *byte* level because a worker
-    killed mid-write can tear a line inside a multi-byte UTF-8 sequence --
-    decoding the whole file at once would raise and take every intact
-    record down with the torn tail.
+    itself.  Torn lines are skipped (:func:`~repro.obs.sink.read_jsonl`), as
+    are records without a ``cell_id``.
     """
     path = Path(path)
     if path.is_dir():
         path = path / "results.jsonl"
     if not path.exists():
         return []
-    records: List[Dict[str, Any]] = []
-    for raw in path.read_bytes().split(b"\n"):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            continue
-        if isinstance(record, dict) and "cell_id" in record:
-            records.append(record)
-    return records
+    return [
+        record
+        for _, record in read_jsonl(path)
+        if isinstance(record, dict) and "cell_id" in record
+    ]
 
 
 def latest_ok_records(records: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]]:

@@ -40,16 +40,12 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..faults.models import build_fault_plan
 from ..obs.sink import TelemetrySink, write_supervision_snapshot
 from ..obs.report import load_final_snapshot, merge_snapshots
 from ..obs.telemetry import TELEMETRY
 from ..obs.tracing import DEFAULT_TRACE_CAPACITY, TraceBuffer, write_trace_jsonl
-from ..simulator.bandwidth import BandwidthPolicy
-from ..simulator.parallel import ShardedRoundEngine
-from ..simulator.runner import drive_engine
-from ..simulator.trace import TopologyTrace, TraceRecordingAdversary
-from .registry import ALGORITHMS, build_adversary
+from ..simulator.trace import TopologyTrace
+from .registry import build_adversary
 from .spec import CampaignSpec, ExperimentSpec
 from .store import ResultStore
 
@@ -107,12 +103,18 @@ def _run_cell_full(
         seed=spec.seed,
         params=spec.adversary_params,
     )
-    if spec.engine == "sharded":
-        return _run_sharded(spec, adversary)
-
     # Deferred import: repro.verification.differential itself imports this
     # package, so binding it at call time keeps initialization acyclic.
-    from ..verification.differential import run_reference
+    from ..verification.differential import cell_summary, run_reference, run_sharded
+
+    if spec.engine == "sharded":
+        run = run_sharded(
+            spec,
+            engine_mode=spec.engine_mode,
+            record_trace=spec.record_trace,
+            adversary=adversary,
+        )
+        return run.summary, run.trace, _combined_fingerprint(run.fingerprints)
 
     result, outcomes = run_reference(
         spec,
@@ -121,13 +123,7 @@ def _run_cell_full(
         record_trace=spec.record_trace,
         adversary=adversary,
     )
-    metrics = result.summary()
-    metrics["final_edges"] = float(result.network.num_edges)
-    if result.faults is not None:
-        # Fault schedules are pure functions of (seed, model, round, ids), so
-        # these counts are part of the cell's deterministic signature: the
-        # differential harness gates them bit-identical across engines.
-        metrics.update({key: float(v) for key, v in result.faults.stats.items()})
+    metrics = cell_summary(result.metrics, result.bandwidth, result.network, result.faults)
     for outcome in outcomes.values():
         metrics.update(outcome.metrics)
     if spec.checks:
@@ -141,42 +137,6 @@ def _run_cell_full(
         {v: algo.state_fingerprint() for v, algo in result.nodes.items()}
     )
     return metrics, result.trace, fingerprint
-
-
-def _run_sharded(
-    spec, adversary
-) -> Tuple[Dict[str, float], Optional[TopologyTrace], str]:
-    faults = build_fault_plan(
-        spec.faults, n=spec.n, seed=spec.seed, params=spec.fault_params
-    )
-    if faults is not None and faults.affects_topology:
-        # Same wrap order as SimulationRunner: the overlay masks the logical
-        # schedule, and trace recording (below) wraps *outside* it so the
-        # recorded trace is the physical post-fault schedule.
-        from ..faults.overlay import FaultOverlayAdversary
-
-        adversary = FaultOverlayAdversary(adversary, spec.n, faults)
-    if spec.record_trace:
-        adversary = TraceRecordingAdversary(adversary, spec.n)
-    bandwidth = BandwidthPolicy(factor=spec.bandwidth_factor, strict=spec.strict_bandwidth)
-    with ShardedRoundEngine(
-        spec.n,
-        ALGORITHMS[spec.algorithm],
-        num_workers=spec.num_workers,
-        bandwidth=bandwidth,
-        mode=spec.engine_mode,
-        faults=faults,
-    ) as engine:
-        drive_engine(engine, adversary, num_rounds=spec.rounds, drain=spec.drain)
-        metrics = dict(engine.metrics.summary())
-        for key, value in engine.bandwidth.summary(spec.n).items():
-            metrics[f"bandwidth_{key}"] = float(value)
-        metrics["final_edges"] = float(engine.network.num_edges)
-        if faults is not None:
-            metrics.update({key: float(v) for key, v in faults.stats.items()})
-        fingerprint = _combined_fingerprint(engine.state_fingerprints())
-    trace = adversary.trace if isinstance(adversary, TraceRecordingAdversary) else None
-    return metrics, trace, fingerprint
 
 
 def execute_cell(

@@ -32,6 +32,7 @@ import json
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
+from numbers import Integral
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,6 +44,35 @@ from .registry import ADVERSARIES, ALGORITHMS, CHECKS
 __all__ = ["ExperimentSpec", "CampaignSpec"]
 
 _ENGINES = ("serial", "sharded")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+#: ``(fields, accepts, what)``: the type each spec field must have, checked
+#: before any value is, so a wrong type is a usage error and not a traceback
+#: (and ``"drain": "no"`` is not truthy).
+_FIELD_TYPES = (
+    (("algorithm", "adversary", "engine", "engine_mode", "faults"),
+     lambda v: isinstance(v, str), "a string"),
+    (("n", "seed", "num_workers"), _is_int, "an integer"),
+    (("rounds",), lambda v: v is None or _is_int(v), "an integer or null"),
+    (("strict_bandwidth", "drain", "record_trace"),
+     lambda v: isinstance(v, bool), "true or false"),
+    (("adversary_params", "fault_params"), lambda v: isinstance(v, Mapping), "an object"),
+    (("checks",),
+     lambda v: isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v),
+     "a list of check names"),
+)
+
+
+def _check_types(obj: Any, field_types) -> None:
+    for names, accepts, what in field_types:
+        for name in names:
+            value = getattr(obj, name)
+            if not accepts(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -100,6 +130,7 @@ class ExperimentSpec:
     fault_params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_types(self, _FIELD_TYPES)
         self.checks = tuple(self.checks)
         self.adversary_params = dict(self.adversary_params)
         self.fault_params = dict(self.fault_params)
@@ -235,6 +266,15 @@ class ExperimentSpec:
         )
 
 
+#: The campaign-level counterpart of :data:`_FIELD_TYPES`.
+_CAMPAIGN_TYPES = (
+    (("name", "description"), lambda v: isinstance(v, str), "a string"),
+    (("base", "grid"), lambda v: isinstance(v, Mapping), "an object"),
+    (("seeds",), lambda v: isinstance(v, (list, tuple)) and all(_is_int(x) for x in v),
+     "a list of integers"),
+)
+
+
 def _apply_path(cell: Dict[str, Any], dotted: str, value: Any) -> None:
     """Set ``cell[a][b]... = value`` for a dotted key ``a.b...``."""
     head, _, rest = dotted.partition(".")
@@ -277,6 +317,7 @@ class CampaignSpec:
     telemetry: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_types(self, _CAMPAIGN_TYPES)
         if not self.name:
             raise ValueError("campaign name must be non-empty")
         for axis, values in self.grid.items():

@@ -124,8 +124,8 @@ class ResultStore:
         Undecodable lines are skipped: appends are flushed line-by-line, so a
         corrupt line can only be a torn (interrupted) append, and dropping it
         simply makes the resume pass re-run that cell.  Delegates to
-        :func:`repro.analysis.tables.load_results_jsonl`, the single JSONL
-        reader shared with the analysis layer.
+        :func:`repro.analysis.tables.load_results_jsonl`, shared with the
+        analysis layer.
         """
         return load_results_jsonl(self.results_path)
 

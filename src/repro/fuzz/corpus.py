@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..experiments.spec import ExperimentSpec
+from ..obs.sink import read_jsonl
 from .signature import FailureSignature, evaluate_spec, trace_fingerprint
 
 __all__ = ["CorpusEntry", "CorpusStore", "ReplayOutcome"]
@@ -185,14 +186,7 @@ class CorpusStore:
             return []
         out: List[CorpusEntry] = []
         seen: set[str] = set()
-        for lineno, line in enumerate(self.corpus_path.read_text().splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn append; the entry was never acknowledged
+        for lineno, data in read_jsonl(self.corpus_path):
             try:
                 entry = CorpusEntry.from_dict(data)
             except (KeyError, ValueError, TypeError) as exc:

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .sink import read_jsonl
+
 __all__ = [
     "metric_direction",
     "extract_rows",
@@ -295,19 +297,11 @@ def append_history(path: Path, doc: Mapping[str, Any], *, source: str) -> Dict[s
 
 def load_history(path: Path) -> List[Dict[str, Any]]:
     """All parseable history records, oldest first (torn lines skipped)."""
-    records: List[Dict[str, Any]] = []
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict) and "rows" in record:
-                    records.append(record)
+        return [
+            record
+            for _, record in read_jsonl(path)
+            if isinstance(record, dict) and "rows" in record
+        ]
     except OSError:
         return []
-    return records

@@ -15,10 +15,10 @@ histograms across cells, and renders:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .sink import read_jsonl
 from .telemetry import Histogram
 
 __all__ = [
@@ -31,25 +31,19 @@ __all__ = [
 
 
 def load_final_snapshot(path: str | Path) -> Optional[Dict[str, Any]]:
-    """The last parseable snapshot line of one JSONL file (None if empty).
+    """The last snapshot of one JSONL file (None if it holds none).
 
-    Tolerates a torn final line (crashed run): falls back to the latest
-    line that parses, mirroring the ResultStore's torn-append policy.
+    Snapshots are cumulative, so after a torn final line (crashed run) the
+    latest line that parses stands in for it.
     """
     final = None
     try:
-        with Path(path).open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    final = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
+        for _, record in read_jsonl(path):
+            if isinstance(record, dict):
+                final = record
     except OSError:
         return None
-    return final if isinstance(final, dict) else None
+    return final
 
 
 def load_snapshots(root: str | Path) -> Dict[str, Dict[str, Any]]:

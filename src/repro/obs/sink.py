@@ -16,9 +16,32 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Any, Iterator, Optional, Tuple
 
-__all__ = ["TelemetrySink", "write_supervision_snapshot"]
+__all__ = ["TelemetrySink", "read_jsonl", "write_supervision_snapshot"]
+
+
+def read_jsonl(path: str | Path) -> Iterator[Tuple[int, Any]]:
+    """``(line number, value)`` of every line of a JSONL file that parses.
+
+    The one reader of the repository's append-only JSONL files (snapshots,
+    trace events, perf history, the fuzz corpus, campaign results).  Blank
+    lines and lines that do not parse are skipped: a writer killed
+    mid-append leaves a torn line, and the intact lines around it still
+    count.  Lines are split at the *byte* level, so a line torn inside a
+    multi-byte UTF-8 character is skipped too instead of failing the decode
+    of the whole file.  A missing file raises :class:`OSError` on the first
+    step; what that means is the caller's rule.
+    """
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            try:
+                value = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                continue
+            yield lineno, value
 
 
 def write_supervision_snapshot(

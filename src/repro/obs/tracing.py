@@ -33,6 +33,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from .sink import read_jsonl
+
 __all__ = [
     "DEFAULT_TRACE_CAPACITY",
     "TRACE_SUFFIX",
@@ -233,27 +235,13 @@ def write_trace_jsonl(path: Path, buffer: TraceBuffer) -> int:
 
 
 def read_trace_jsonl(path: Path) -> List[Dict[str, Any]]:
-    """Read trace events back, skipping the meta line and any torn line.
-
-    Mirrors the sink reader's torn-write tolerance: a process killed mid-
-    append leaves a truncated final line, which is ignored rather than
-    raising.
-    """
-    events: List[Dict[str, Any]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write from a killed process
-            if not isinstance(record, dict) or "meta" in record:
-                continue
-            if "name" in record and "ts" in record:
-                events.append(record)
-    return events
+    """Read trace events back, skipping the meta line and any torn line."""
+    return [
+        record
+        for _, record in read_jsonl(path)
+        if isinstance(record, dict) and "meta" not in record
+        and "name" in record and "ts" in record
+    ]
 
 
 def load_trace_dir(root: Path) -> Dict[str, List[Dict[str, Any]]]:

@@ -1,31 +1,33 @@
-"""Process-parallel execution of the round engine for large simulations.
+"""The round engine with its node hooks in shard worker processes.
 
-The per-node phases of a round (react & send, receive & update) are
+The per-node halves of a round (react & compose, deliver & report) are
 embarrassingly parallel: every node only touches its own local state and the
-messages addressed to it.  For simulations with many nodes the
-:class:`ShardedRoundEngine` partitions the nodes into shards, each owned by a
-persistent worker process, and exchanges only the per-round message batches
-with the coordinator -- the same communicate-by-message idiom used in
-MPI-style programs (each worker behaves like a rank that scatters/gathers one
-batch per superstep).
+messages addressed to it.  :class:`ShardedRoundEngine` partitions the nodes
+into contiguous shards, each owned by a persistent worker process, and runs
+those hooks there -- the communicate-by-message idiom of MPI-style programs
+(each worker behaves like a rank that scatters/gathers one batch per
+superstep).
 
-The sharded engine is a drop-in behavioural mirror of
-:class:`repro.simulator.rounds.RoundEngine`: given the same adversary schedule
-it produces identical metrics, because all cross-node interaction still flows
-through the coordinator's ground-truth network and bandwidth policy.  In its
-default ``"sparse"`` mode it additionally mirrors the active-set scheduling of
-:class:`~repro.simulator.rounds.SparseRoundEngine`: each worker only runs the
-hooks of its active nodes, and the coordinator skips fully-quiescent shards
-altogether (no pipe round-trip at all while a shard has nothing to do).  It is
-*not* always faster -- for small ``n`` the pickling overhead dominates -- but
-it lets the simulator scale past a single core for wide fan-out workloads, and
-benchmark E12 measures exactly that trade-off.
+Everything else is the serial round.  The sharded engine is a
+:class:`~repro.simulator.rounds.RoundEngine` whose two node-hook calls go
+over the pipes, so the schedule (dense, or sparse with its active and
+touched sets), validation, bandwidth charging, fault drops, verdicts, spans,
+counters and trace slices are the serial engine's own code, and the metrics
+and final state are those of the serial engine of the same mode.  A worker
+runs the hooks of exactly the nodes the coordinator sends it; a shard with
+no scheduled node gets no message that round.  Messages travel on the
+per-envelope transport.
+
+Whether this beats the serial engine depends on the per-node compute
+against the cost of pickling each round's traffic through the coordinator;
+on two cores it does not (ROADMAP, "One round pipeline").
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from bisect import bisect_left
 from time import perf_counter
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -34,12 +36,11 @@ from ..obs.collect import merge_snapshot_into, record_shard_skew
 from ..obs.telemetry import SIZE_BUCKETS, TELEMETRY, Telemetry
 from ..obs.tracing import TraceBuffer
 from .bandwidth import BandwidthPolicy
-from .events import RoundChanges
 from .messages import Envelope
-from .metrics import MetricsCollector, RoundRecord
+from .metrics import MetricsCollector
 from .network import DynamicNetwork, NodeIndication
 from .node import AlgorithmFactory
-from .rounds import ENGINE_MODES, MessageTargetError
+from .rounds import ENGINE_MODES, RoundEngine, Verdicts, report_verdicts
 
 __all__ = ["ShardedRoundEngine", "shard_nodes"]
 
@@ -70,19 +71,21 @@ def _worker_loop(
     instrument: bool = False,
     trace_capacity: int = 0,
 ) -> None:
-    """Entry point of a shard worker process.
+    """Entry point of a shard worker process: a node-hook executor.
 
-    The worker owns the node-algorithm instances of its shard and executes the
-    per-node phases on command.  Commands arrive as ``(op, payload)`` tuples on
-    the pipe; results are sent back the same way.
+    The worker owns the node-algorithm instances of its shard and keeps no
+    schedule of its own.  It first sends the ids of its nodes that are not
+    quiescent (the coordinator's sparse schedule starts from them), then
+    answers ``(op, payload)`` commands on the pipe:
 
-    In ``"sparse"`` mode the worker mirrors the active-set bookkeeping of
-    :class:`~repro.simulator.rounds.SparseRoundEngine` for its own shard: it
-    runs the hooks only over nodes that received an indication, hold an inbox,
-    sent last round, or self-report dirty state, and its ``update`` reply
-    carries only the consistency verdicts of the nodes it touched plus a
-    ``needs_react`` flag the coordinator uses to skip the whole shard while it
-    is fully quiescent.
+    * ``react`` ``(round, active, indications, resets)``: rebuild the
+      amnesiac nodes in ``resets``, run ``on_topology_change`` and then
+      ``compose_messages`` over exactly ``active``, and reply with the
+      ``(sender, outgoing)`` pairs of the nodes that composed something;
+    * ``deliver`` ``(round, touched, inboxes)``: run ``on_messages`` over
+      exactly ``touched`` and reply with their
+      :func:`~repro.simulator.rounds.report_verdicts`;
+    * ``query``, ``fingerprint``, ``telemetry`` and ``stop``.
 
     When ``instrument`` is set the worker runs its own *local*
     :class:`~repro.obs.telemetry.Telemetry` registry (``engine.worker.*``
@@ -100,131 +103,92 @@ def _worker_loop(
     tracer: Optional[TraceBuffer] = None
     if instrument and trace_capacity > 0:
         tracer = TraceBuffer(trace_capacity, worker=worker_index)
-    nodes = {v: factory(v, n) for v in shard}
-    # Sparse-mode activity bookkeeping (unused in dense mode).
-    dirty = {v for v, algo in nodes.items() if not algo.is_quiescent()}
-    sent_last: set = set()
-    react_active: List[int] = []
-    react_round = -1
+
+    def stage(name: str, start: float, end: float, round_index: int) -> None:
+        tel.record_span(name, end - start)
+        if tracer is not None:
+            tracer.add(name, start, end, round_index=round_index, mode=mode)
+
+    sparse = mode == "sparse"
+    no_change: Tuple[tuple, tuple] = ((), ())
     empty_inbox: Mapping[int, Envelope] = MappingProxyType({})
+    nodes = {v: factory(v, n) for v in shard}
+    conn.send([v for v, algo in nodes.items() if not algo.is_quiescent()])
     while True:
         op, payload = conn.recv()
-        if op == "stop":
-            conn.send(("ok", None))
-            conn.close()
-            return
         if op == "react":
-            round_index, indications, resets = payload
-            tel_on = tel.enabled
-            if tel_on:
+            round_index, active, indications, resets = payload
+            if instrument:
                 t0 = perf_counter()
             # Amnesia recoveries: rebuild the instance before any hook runs,
             # so the fresh node sees this round's re-insertion indications --
-            # the same ordering as the serial engines.
+            # the same ordering as the in-process hooks.
             for v in resets:
                 nodes[v] = factory(v, n)
-            outgoing: Dict[int, Dict[int, Envelope]] = {}
-            if mode == "sparse":
-                react_active = sorted(set(indications) | dirty | sent_last | set(resets))
-                react_round = round_index
-            else:
-                react_active = list(nodes)
-            sent_now: set = set()
-            for v in react_active:
-                inserted, deleted = indications.get(v, ((), ()))
+            for v in active:
+                inserted, deleted = indications.get(v, no_change)
                 nodes[v].on_topology_change(round_index, inserted, deleted)
-            if tel_on:
+            if instrument:
                 t1 = perf_counter()
-                tel.record_span("engine.worker.indications", t1 - t0)
-            for v in react_active:
+            outgoing = []
+            for v in active:
                 out = nodes[v].compose_messages(round_index)
                 if out:
-                    outgoing[v] = out
-                    if any(not envelope.is_silent for envelope in out.values()):
-                        sent_now.add(v)
-            sent_last = sent_now
-            if tel_on:
-                t2 = perf_counter()
-                tel.record_span("engine.worker.compute", t2 - t1)
+                    outgoing.append((v, out))
+            if instrument:
+                stage("engine.worker.indications", t0, t1, round_index)
+                stage("engine.worker.compute", t1, perf_counter(), round_index)
                 tel.count("engine.worker.reacts")
-                tel.observe("engine.worker.active_set", len(react_active), SIZE_BUCKETS)
-                if tracer is not None:
-                    tracer.add(
-                        "engine.worker.indications", t0, t1,
-                        round_index=round_index, mode=mode,
-                    )
-                    tracer.add(
-                        "engine.worker.compute", t1, t2,
-                        round_index=round_index, mode=mode,
-                    )
-            conn.send(("ok", outgoing))
-        elif op == "update":
-            round_index, inboxes = payload
-            tel_on = tel.enabled
-            if tel_on:
+                tel.observe("engine.worker.active_set", len(active), SIZE_BUCKETS)
+            conn.send(outgoing)
+        elif op == "deliver":
+            round_index, touched, inboxes = payload
+            if instrument:
                 t0 = perf_counter()
-            if mode == "sparse":
-                # A skipped react leaves no active set for this round; only
-                # freshly delivered inboxes can wake nodes then.
-                base = react_active if react_round == round_index else []
-                touched = sorted(set(base) | set(inboxes))
-            else:
-                touched = list(nodes)
             for v in touched:
                 nodes[v].on_messages(round_index, inboxes.get(v, empty_inbox))
-            consistency = {v: nodes[v].is_consistent() for v in touched}
-            if mode == "sparse":
-                for v in touched:
-                    if nodes[v].is_quiescent():
-                        dirty.discard(v)
-                    else:
-                        dirty.add(v)
-                reply: Any = (consistency, bool(dirty or sent_last))
-            else:
-                reply = consistency
-            if tel_on:
-                t1 = perf_counter()
-                tel.record_span("engine.worker.deliver", t1 - t0)
+            verdicts = report_verdicts(nodes, touched, sparse)
+            if instrument:
+                stage("engine.worker.deliver", t0, perf_counter(), round_index)
                 tel.count("engine.worker.updates")
-                if tracer is not None:
-                    tracer.add(
-                        "engine.worker.deliver", t0, t1,
-                        round_index=round_index, mode=mode,
-                    )
-            conn.send(("ok", reply))
+            conn.send(verdicts)
         elif op == "query":
             node_id, query = payload
-            conn.send(("ok", nodes[node_id].query(query)))
-        elif op == "state_size":
-            conn.send(("ok", {v: algo.local_state_size() for v, algo in nodes.items()}))
+            conn.send(nodes[node_id].query(query))
         elif op == "fingerprint":
-            conn.send(("ok", {v: algo.state_fingerprint() for v, algo in nodes.items()}))
+            conn.send({v: algo.state_fingerprint() for v, algo in nodes.items()})
         elif op == "telemetry":
-            snapshot = tel.snapshot(final=True) if tel.enabled else None
-            trace = tracer.to_dict() if tracer is not None else None
-            conn.send(("ok", (snapshot, trace)))
+            snapshot = tel.snapshot(final=True) if instrument else None
+            conn.send((snapshot, tracer.to_dict() if tracer is not None else None))
+        elif op == "stop":
+            conn.send(None)
+            conn.close()
+            return
         else:  # pragma: no cover - defensive
-            conn.send(("error", f"unknown op {op!r}"))
+            raise ValueError(f"unknown op {op!r}")
 
 
-class ShardedRoundEngine:
-    """A round engine whose node phases run in persistent worker processes.
+class ShardedRoundEngine(RoundEngine):
+    """A round engine whose node hooks run in persistent worker processes.
 
     Args:
         n: number of nodes.
         algorithm_factory: per-node algorithm factory (must be picklable or
             importable in the workers; with the default ``fork`` start method
             any callable works).
-        num_workers: number of shard processes (defaults to CPU count).
+        num_workers: number of shard processes (defaults to one less than
+            the CPU count, at least one).
         bandwidth: per-link bandwidth policy (kept in the coordinator).
         metrics: metrics collector (kept in the coordinator).
         start_method: multiprocessing start method; ``fork`` keeps closures
             usable as factories and is the default on Linux.
-        mode: ``"sparse"`` (default) lets each worker run only its active
-            nodes and lets the coordinator skip fully-quiescent shards
-            entirely; ``"dense"`` visits every node every round.  Both modes
-            produce identical metrics and state.
+        mode: the scheduling policy, ``"sparse"`` (default) or ``"dense"``,
+            exactly as in :func:`~repro.simulator.rounds.create_engine`.
+            Both produce identical metrics and state.
     """
+
+    #: Shard workers carry messages on the per-envelope transport.
+    _port = None
 
     def __init__(
         self,
@@ -240,22 +204,15 @@ class ShardedRoundEngine:
     ) -> None:
         if mode not in ENGINE_MODES:
             raise ValueError(f"mode must be one of {ENGINE_MODES}, got {mode!r}")
-        self.network = DynamicNetwork(n)
-        self.bandwidth = bandwidth if bandwidth is not None else BandwidthPolicy()
-        self.metrics = metrics if metrics is not None else MetricsCollector()
         self.mode = mode
-        #: Optional FaultPlan; drops run in the coordinator's routing loop
-        #: (the one place all cross-shard traffic flows through) and amnesia
-        #: resets ship to the owning worker in the react payload.
-        self.faults = faults
         if faults is not None:
             faults.algorithm_factory = algorithm_factory
         workers = num_workers if num_workers is not None else max(1, (os.cpu_count() or 2) - 1)
-        self._shards = shard_nodes(n, workers)
-        self._node_to_shard: Dict[int, int] = {}
-        for idx, shard in enumerate(self._shards):
-            for v in shard:
-                self._node_to_shard[v] = idx
+        shards = shard_nodes(n, workers)
+        self._shard_of = [idx for idx, shard in enumerate(shards) for _ in shard]
+        # First node id of every shard but the first: where a sorted id list
+        # is cut into per-shard runs.
+        self._cuts = [shard[0] for shard in shards[1:]]
         ctx = mp.get_context(start_method)
         # Workers inherit the telemetry decision made at construction time:
         # if the coordinator's registry is live, each worker runs its own
@@ -272,7 +229,7 @@ class ShardedRoundEngine:
         self.worker_snapshots: List[Dict[str, Any]] = []
         self._conns = []
         self._procs = []
-        for idx, shard in enumerate(self._shards):
+        for idx, shard in enumerate(shards):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_loop,
@@ -292,204 +249,91 @@ class ShardedRoundEngine:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-        self._last_inconsistent: List[int] = []
-        # Sparse-mode coordinator state: which shards still need a react op
-        # (workers report quiescence through their update replies) and the
-        # live inconsistent set maintained by delta.
-        self._needs_react: List[bool] = [True] * len(self._shards)
-        self._inconsistent: set = set()
         self._closed = False
+        try:
+            unquiet = [v for conn in self._conns for v in conn.recv()]
+        except EOFError:
+            # A worker died building its nodes: stop the others before raising.
+            self.shutdown()
+            raise
+        self._init_state(DynamicNetwork(n), bandwidth, metrics, faults, unquiet)
 
     # ------------------------------------------------------------------ #
-    # Round execution
+    # The node hooks, over the pipes
     # ------------------------------------------------------------------ #
-    def execute_round(self, changes: RoundChanges) -> RoundRecord:
-        """Run one round; mirrors :meth:`RoundEngine.execute_round`."""
+    def _react_and_compose(
+        self,
+        round_index: int,
+        active: Sequence[int],
+        indications: Mapping[int, NodeIndication],
+        resets: Sequence[int],
+    ) -> List[Tuple[int, Dict[int, Envelope]]]:
+        per_shard = self._scatter(
+            {v: (ind.inserted, ind.deleted) for v, ind in indications.items()}
+        )
+        replies = self._ask(
+            "react",
+            [
+                (round_index, part, shard_indications, shard_resets) if part else None
+                for part, shard_indications, shard_resets in zip(
+                    self._split(active), per_shard, self._split(sorted(resets))
+                )
+            ],
+        )
+        return [pair for reply in replies for pair in reply]
+
+    def _deliver_and_report(
+        self, round_index: int, touched: Sequence[int], routed: Mapping[int, object]
+    ) -> Verdicts:
+        replies = self._ask(
+            "deliver",
+            [
+                (round_index, part, inboxes) if part else None
+                for part, inboxes in zip(self._split(touched), self._scatter(routed))
+            ],
+        )
+        consistent: List[bool] = []
+        quiescent: List[bool] = []
+        for shard_consistent, shard_quiescent in replies:
+            consistent += shard_consistent
+            quiescent += shard_quiescent
+        return consistent, quiescent
+
+    def _split(self, ids: Sequence[int]) -> List[Sequence[int]]:
+        """Ascending ``ids`` cut into one run per shard."""
+        bounds = [0] + [bisect_left(ids, cut) for cut in self._cuts] + [len(ids)]
+        return [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def _scatter(self, by_node: Mapping[int, Any]) -> List[Dict[int, Any]]:
+        """``by_node`` split into one dict per owning shard."""
+        parts: List[Dict[int, Any]] = [{} for _ in self._conns]
+        shard_of = self._shard_of
+        for v, value in by_node.items():
+            parts[shard_of[v]][v] = value
+        return parts
+
+    def _ask(self, op: str, payloads: Sequence[Any]) -> List[Any]:
+        """Send ``(op, payload)`` to every shard whose payload is not ``None``.
+
+        Returns the replies of the shards asked, in shard order.
+        """
         if self._closed:
             raise RuntimeError("engine already shut down")
-        round_index = self.network.round_index + 1
-        n = self.network.n
-        sparse = self.mode == "sparse"
-        # Coordinator spans measure the same stage boundaries as the serial
-        # engines (compute = react dispatch+gather, deliver = update
-        # dispatch+gather); the workers additionally time their own hook
-        # loops (engine.worker.* spans), merged in at shutdown.
-        tel = TELEMETRY
-        tel_on = tel.enabled
-        tracer = tel.tracer if tel_on else None
-        if tel_on:
-            t_round = t0 = perf_counter()
-        indications = self.network.apply_changes(round_index, changes)
-        faults = self.faults
-        resets = faults.resets_for_round(round_index) if faults is not None else ()
-        drops = faults is not None and faults.affects_delivery
-
-        # React & send, per shard.  In sparse mode a shard participates only
-        # if its worker reported pending activity last round, one of its
-        # nodes is touched by this round's changes, or one of its nodes
-        # recovers with amnesia (the fresh instance must run its hooks).
-        per_shard_indications: List[Dict[int, Tuple[tuple, tuple]]] = [
-            {} for _ in self._shards
-        ]
-        for v, ind in indications.items():
-            per_shard_indications[self._node_to_shard[v]][v] = (ind.inserted, ind.deleted)
-        per_shard_resets: List[List[int]] = [[] for _ in self._shards]
-        for v in resets:
-            per_shard_resets[self._node_to_shard[v]].append(v)
-        reacting = [
-            not sparse
-            or self._needs_react[idx]
-            or bool(per_shard_indications[idx])
-            or bool(per_shard_resets[idx])
-            for idx in range(len(self._shards))
-        ]
-        if tel_on:
-            t1 = perf_counter()
-            tel.record_span("engine.indications", t1 - t0)
-            if tracer is not None:
-                tracer.add("engine.indications", t0, t1, round_index=round_index, mode="sharded")
-        for idx, (conn, shard_ind) in enumerate(zip(self._conns, per_shard_indications)):
-            if reacting[idx]:
-                conn.send(("react", (round_index, shard_ind, per_shard_resets[idx])))
-        outgoing_all: Dict[int, Dict[int, Envelope]] = {}
-        for idx, conn in enumerate(self._conns):
-            if not reacting[idx]:
-                continue
-            status, outgoing = conn.recv()
-            if status != "ok":  # pragma: no cover - defensive
-                raise RuntimeError(outgoing)
-            outgoing_all.update(outgoing)
-        if tel_on:
-            t2 = perf_counter()
-            tel.record_span("engine.compute", t2 - t1)
-            if tracer is not None:
-                tracer.add("engine.compute", t1, t2, round_index=round_index, mode="sharded")
-
-        # Route messages through the coordinator (validation + bandwidth).
-        inboxes: Dict[int, Dict[int, Envelope]] = {}
-        num_envelopes = 0
-        bits_sent = 0
-        for sender, out in outgoing_all.items():
-            for target, envelope in out.items():
-                if target == sender:
-                    raise MessageTargetError(f"node {sender} attempted to message itself")
-                if not self.network.has_edge(sender, target):
-                    raise MessageTargetError(
-                        f"round {round_index}: node {sender} addressed non-neighbor {target}"
-                    )
-                size = self.bandwidth.charge(round_index, sender, target, envelope, n)
-                if not envelope.is_silent:
-                    num_envelopes += 1
-                    bits_sent += size
-                    # Sent-but-lost: charged and counted like a delivered
-                    # envelope (the workers already marked the sender as
-                    # having sent), it just never reaches the target's inbox.
-                    if drops and faults.message_dropped(round_index, sender, target):
-                        continue
-                    inboxes.setdefault(target, {})[sender] = envelope
-
-        if tel_on:
-            t3 = perf_counter()
-            tel.record_span("engine.route", t3 - t2)
-            if tracer is not None:
-                tracer.add("engine.route", t2, t3, round_index=round_index, mode="sharded")
-
-        # Receive & update, per shard.  A shard that reacted must also update
-        # (to drain its activity bookkeeping); one that only received messages
-        # is woken by its inboxes.
-        per_shard_inboxes: List[Dict[int, Dict[int, Envelope]]] = [{} for _ in self._shards]
-        for v, inbox in inboxes.items():
-            per_shard_inboxes[self._node_to_shard[v]][v] = inbox
-        updating = [
-            reacting[idx] or bool(per_shard_inboxes[idx])
-            for idx in range(len(self._shards))
-        ]
-        for idx, (conn, shard_in) in enumerate(zip(self._conns, per_shard_inboxes)):
-            if updating[idx]:
-                conn.send(("update", (round_index, shard_in)))
-        became_inconsistent: List[int] = []
-        became_consistent: List[int] = []
-        for idx, conn in enumerate(self._conns):
-            if not updating[idx]:
-                continue
-            status, reply = conn.recv()
-            if status != "ok":  # pragma: no cover - defensive
-                raise RuntimeError(reply)
-            if sparse:
-                consistency, needs_react = reply
-                self._needs_react[idx] = needs_react
-            else:
-                consistency = reply
-            for v, ok in consistency.items():
-                if ok:
-                    if v in self._inconsistent:
-                        self._inconsistent.discard(v)
-                        became_consistent.append(v)
-                elif v not in self._inconsistent:
-                    self._inconsistent.add(v)
-                    became_inconsistent.append(v)
-
-        self._last_inconsistent = sorted(self._inconsistent)
-        record = self.metrics.record_round_delta(
-            round_index=round_index,
-            num_changes=len(changes),
-            became_inconsistent=became_inconsistent,
-            became_consistent=became_consistent,
-            num_envelopes=num_envelopes,
-            bits_sent=bits_sent,
-        )
-        if tel_on:
-            t4 = perf_counter()
-            tel.record_span("engine.deliver", t4 - t3)
-            tel.record_span("engine.round", t4 - t_round)
-            if tracer is not None:
-                tracer.add("engine.deliver", t3, t4, round_index=round_index, mode="sharded")
-                tracer.add("engine.round", t_round, t4, round_index=round_index, mode="sharded")
-            tel.count("engine.rounds")
-            tel.count("engine.envelopes", num_envelopes)
-            tel.count("engine.shards_reacting", sum(reacting))
-            tel.count("engine.quiescent_shard_skips", len(reacting) - sum(reacting))
-            tel.observe("engine.active_set", len(outgoing_all), SIZE_BUCKETS)
-            for inbox in inboxes.values():
-                tel.observe("engine.inbox_fanout", len(inbox), SIZE_BUCKETS)
-            tel.tick()
-        return record
-
-    def execute_quiet_round(self) -> RoundRecord:
-        """Run one round with no topology changes."""
-        return self.execute_round(RoundChanges.empty())
+        asked = []
+        for conn, payload in zip(self._conns, payloads):
+            if payload is not None:
+                conn.send((op, payload))
+                asked.append(conn)
+        return [conn.recv() for conn in asked]
 
     # ------------------------------------------------------------------ #
     # Queries and lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def all_consistent(self) -> bool:
-        return not self._last_inconsistent
-
-    @property
-    def inconsistent_nodes(self) -> List[int]:
-        return list(self._last_inconsistent)
-
-    @property
-    def drain_fixpoint(self) -> bool:
-        """Mirrors :attr:`RoundEngine.drain_fixpoint` for the sharded scheduler.
-
-        In sparse mode every worker's update reply carries whether its shard
-        still has pending activity (dirty nodes or senders); when no shard
-        needs a react, a quiet round dispatches no worker ops at all, so no
-        node state can change -- the same quiet-round fixpoint the serial
-        sparse engine proves, and the drain loops fast-forward on it.  Dense
-        mode runs every hook every round and never proves one.
-        """
-        return self.mode == "sparse" and not any(self._needs_react)
-
     def query(self, node_id: int, query: Any) -> Any:
         """Forward a query to the worker owning ``node_id`` and return its answer."""
-        conn = self._conns[self._node_to_shard[node_id]]
-        conn.send(("query", (node_id, query)))
-        status, answer = conn.recv()
-        if status != "ok":  # pragma: no cover - defensive
-            raise RuntimeError(answer)
+        payloads: List[Any] = [None] * len(self._conns)
+        payloads[self._shard_of[node_id]] = (node_id, query)
+        (answer,) = self._ask("query", payloads)
         return answer
 
     def state_fingerprints(self) -> Dict[int, str]:
@@ -499,13 +343,8 @@ class ShardedRoundEngine:
         fingerprints of a serial run to prove final-state identity without
         shipping the node objects back to the coordinator.
         """
-        for conn in self._conns:
-            conn.send(("fingerprint", None))
         fingerprints: Dict[int, str] = {}
-        for conn in self._conns:
-            status, shard_fp = conn.recv()
-            if status != "ok":  # pragma: no cover - defensive
-                raise RuntimeError(shard_fp)
+        for shard_fp in self._ask("fingerprint", [()] * len(self._conns)):
             fingerprints.update(shard_fp)
         return fingerprints
 
@@ -523,15 +362,8 @@ class ShardedRoundEngine:
         if self._closed or not self._workers_instrumented:
             return []
         self._workers_instrumented = False  # merge exactly once
-        payloads = []
         try:
-            for conn in self._conns:
-                conn.send(("telemetry", None))
-            for conn in self._conns:
-                status, payload = conn.recv()
-                if status != "ok":  # pragma: no cover - defensive
-                    raise RuntimeError(payload)
-                payloads.append(payload)
+            payloads = self._ask("telemetry", [()] * len(self._conns))
         except (BrokenPipeError, EOFError):  # pragma: no cover - defensive
             return []
         tel = TELEMETRY

@@ -40,6 +40,12 @@ bit-identical :class:`~repro.simulator.metrics.RoundRecord` streams,
 bandwidth accounting and final node state; nodes that never declare
 quiescence are simply always active, so unported algorithms keep their dense
 semantics.
+
+The loop reaches the nodes through exactly two calls per round -- react and
+compose, then deliver and report ``(consistent, quiescent)`` -- which run in
+process here and in shard worker processes under
+:class:`~repro.simulator.parallel.ShardedRoundEngine`; the schedule,
+routing, verdicts and telemetry are this module's for every engine.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from __future__ import annotations
 from functools import partial
 from time import perf_counter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..obs.telemetry import SIZE_BUCKETS, TELEMETRY
 from .bandwidth import BandwidthPolicy
@@ -91,6 +97,28 @@ def _target_error(round_index: int, sender: int, target: int) -> MessageTargetEr
     )
 
 
+#: Each touched node's verdicts, as two lists aligned with the touched list:
+#: ``(consistent, quiescent)``.  Two flat lists of bools rather than a tuple
+#: per node keep the query stage free of per-node allocations (and cheap to
+#: pickle for the shard workers).
+Verdicts = Tuple[List[bool], List[bool]]
+
+
+def report_verdicts(
+    nodes: Mapping[int, NodeAlgorithm], touched: Sequence[int], sparse: bool
+) -> Verdicts:
+    """The :data:`Verdicts` of the nodes of ``touched``.
+
+    Only the sparse policy schedules by quiescence, so only it asks; under
+    the dense policy every node reports ``False`` without being asked.
+    """
+    algos = [nodes[v] for v in touched]
+    consistent = [algo.is_consistent() for algo in algos]
+    if sparse:
+        return consistent, [algo.is_quiescent() for algo in algos]
+    return consistent, [False] * len(algos)
+
+
 class RoundEngine:
     """Executes rounds of the highly dynamic model over a set of node algorithms.
 
@@ -128,8 +156,29 @@ class RoundEngine:
                 "nodes mapping must cover exactly the network's nodes: "
                 f"missing ids {missing[:8]}, unexpected ids {unexpected[:8]}"
             )
-        self.network = network
         self.nodes: Dict[int, NodeAlgorithm] = dict(nodes)
+        self._init_state(
+            network,
+            bandwidth,
+            metrics,
+            faults,
+            (v for v, algo in self.nodes.items() if not algo.is_quiescent()),
+        )
+        # The batch transport's ported class, or None for per-envelope
+        # messages.  Dense stays the reference and never batches.
+        self._port = batch_port(self.nodes.values()) if self._sparse else None
+        self._buf = SendBuffer()
+
+    def _init_state(
+        self,
+        network: DynamicNetwork,
+        bandwidth: Optional[BandwidthPolicy],
+        metrics: Optional[MetricsCollector],
+        faults,
+        unquiet: Iterable[int],
+    ) -> None:
+        """The schedule's state; ``unquiet`` lists the nodes not quiescent at start."""
+        self.network = network
         self.bandwidth = bandwidth if bandwidth is not None else BandwidthPolicy()
         self.metrics = metrics if metrics is not None else MetricsCollector()
         #: Optional :class:`~repro.faults.models.FaultPlan`.  The engine
@@ -144,19 +193,11 @@ class RoundEngine:
         # Sparse bookkeeping.  Nodes whose algorithm self-reports dirty state:
         # unported algorithms (default is_quiescent() == False) live here
         # permanently, which degrades gracefully to the dense schedule.
-        self._dirty: Set[int] = (
-            {v for v, algo in self.nodes.items() if not algo.is_quiescent()}
-            if self._sparse
-            else set()
-        )
+        self._dirty: Set[int] = set(unquiet) if self._sparse else set()
         # Nodes that emitted at least one non-silent envelope last round.
         self._sent_last_round: Set[int] = set()
         # Nodes touched (hooks ran) in the most recent round.
         self._last_touched: Set[int] = set()
-        # The batch transport's ported class, or None for per-envelope
-        # messages.  Dense stays the reference and never batches.
-        self._port = batch_port(self.nodes.values()) if self._sparse else None
-        self._buf = SendBuffer()
 
     # ------------------------------------------------------------------ #
     # Round execution
@@ -165,17 +206,17 @@ class RoundEngine:
         """Run one full round with the given topology-change batch.
 
         Returns the :class:`~repro.simulator.metrics.RoundRecord` of the round.
+        The engine reaches the nodes through exactly two calls,
+        :meth:`_react_and_compose` and :meth:`_deliver_and_report`; everything
+        else -- the schedule, routing, verdicts and telemetry -- happens here.
         """
         network = self.network
         round_index = network.round_index + 1
         n = network.n
-        nodes = self.nodes
         sparse = self._sparse
         # Telemetry is pure read-only bookkeeping on the monotonic clock;
         # caching the enabled flag keeps the disabled cost at one local bool
-        # check per stage and per node.  Stage timings use manual
-        # perf_counter checkpoints (not span()) because compute and route are
-        # interleaved in the per-envelope send loop.
+        # check per stage.
         tel = TELEMETRY
         tel_on = tel.enabled
         if tel_on:
@@ -185,14 +226,6 @@ class RoundEngine:
         indications = network.apply_changes(round_index, changes)
         faults = self.faults
         resets = faults.resets_for_round(round_index) if faults is not None else ()
-        for v in resets:
-            # Amnesia recoveries: the node comes back blank and then receives
-            # this round's (re-insertion) indications like everyone else.
-            fresh = nodes[v] = faults.fresh_node(v, n)
-            if type(fresh) is not self._port:
-                # A fault plan rebuilding nodes as a different class breaks
-                # the one-class invariant; fall back to per-envelope for good.
-                self._port = None
         drops = faults is not None and faults.affects_delivery
         if sparse:
             # The nodes that may react or send this round.  Sorted iteration
@@ -208,39 +241,24 @@ class RoundEngine:
             active = range(n)
         if tel_on:
             t1 = perf_counter()
-            tel.record_span("engine.indications", t1 - t0)
 
-        # Stage 2: react & send.
-        for v in active:
-            ind = indications.get(v, _NO_INDICATION)
-            nodes[v].on_topology_change(round_index, ind.inserted, ind.deleted)
+        # Stage 2: react & send.  The nodes react and compose; the engine
+        # then validates, charges and routes what they composed.
+        outgoing = self._react_and_compose(round_index, active, indications, resets)
         if tel_on:
             t2 = perf_counter()
-            react_s = t2 - t1
-        port = self._port
-        send = self._send_batch if port is not None else self._send_envelopes
-        routed, num_envelopes, bits_sent, senders, compose_s = send(
-            round_index, active, drops, tel_on
-        )
+        route = self._route_batch if self._port is not None else self._route_envelopes
+        routed, num_envelopes, bits_sent, senders = route(round_index, outgoing, drops)
         if tel_on:
             t3 = perf_counter()
-            # compute = every algorithm callback; route = validation, charging
-            # and inbox construction around them.
-            tel.record_span("engine.compute", react_s + compose_s)
-            tel.record_span("engine.route", (t3 - t2) - compose_s)
 
         # Stage 3: receive & update.  Under the sparse policy message
         # recipients join the active set (a quiescent node can be woken only
         # by an indication, handled above, or by an incoming envelope).
         touched = sorted(set(active) | set(routed)) if sparse else active
-        if port is not None:
-            port.columnar_deliver(nodes, round_index, touched, self._buf, routed)
-        else:
-            for v in touched:
-                nodes[v].on_messages(round_index, routed.get(v, _EMPTY_INBOX))
+        verdicts = self._deliver_and_report(round_index, touched, routed)
         if tel_on:
             t4 = perf_counter()
-            tel.record_span("engine.deliver", t4 - t3)
 
         # Stage 4: query window.  Only touched nodes can have flipped their
         # verdict; everyone else's cached verdict stands.
@@ -248,9 +266,8 @@ class RoundEngine:
         became_consistent: List[int] = []
         inconsistent = self._inconsistent
         dirty = self._dirty
-        for v in touched:
-            algo = nodes[v]
-            if algo.is_consistent():
+        for v, consistent, quiescent in zip(touched, *verdicts):
+            if consistent:
                 if v in inconsistent:
                     inconsistent.discard(v)
                     became_consistent.append(v)
@@ -259,14 +276,14 @@ class RoundEngine:
                 became_inconsistent.append(v)
             if sparse:
                 # A touched node stays scheduled until it declares quiescence.
-                if algo.is_quiescent():
+                if quiescent:
                     dirty.discard(v)
                 else:
                     dirty.add(v)
         if sparse:
             # The sender stays scheduled next round even when its envelope is
             # lost (it *sent*; the drop happens in flight), matching the
-            # dense schedule and the sharded workers' sender-side accounting.
+            # dense schedule.
             self._sent_last_round = senders
             self._last_touched = set(touched)
         self._last_inconsistent = sorted(inconsistent)
@@ -280,19 +297,22 @@ class RoundEngine:
         )
         if tel_on:
             t5 = perf_counter()
-            tel.record_span("engine.query", t5 - t4)
-            tel.record_span("engine.round", t5 - t_round)
+            # compute = the node hooks of stage 2; route = validation,
+            # charging and inbox construction; deliver = the node hooks of
+            # stage 3 plus their verdicts.  Every span doubles as a slice.
             tracer = tel.tracer
-            if tracer is not None:
-                # Timeline slices must be contiguous, so the interleaved
-                # compute/route region exports as one "engine.send" slice.
-                mode = self.mode
-                tracer.add("engine.indications", t0, t1, round_index=round_index, mode=mode)
-                tracer.add("engine.react", t1, t2, round_index=round_index, mode=mode)
-                tracer.add("engine.send", t2, t3, round_index=round_index, mode=mode)
-                tracer.add("engine.deliver", t3, t4, round_index=round_index, mode=mode)
-                tracer.add("engine.query", t4, t5, round_index=round_index, mode=mode)
-                tracer.add("engine.round", t_round, t5, round_index=round_index, mode=mode)
+            mode = self.mode
+            for name, start, end in (
+                ("engine.indications", t0, t1),
+                ("engine.compute", t1, t2),
+                ("engine.route", t2, t3),
+                ("engine.deliver", t3, t4),
+                ("engine.query", t4, t5),
+                ("engine.round", t_round, t5),
+            ):
+                tel.record_span(name, end - start)
+                if tracer is not None:
+                    tracer.add(name, start, end, round_index=round_index, mode=mode)
             tel.count("engine.rounds")
             tel.count("engine.envelopes", num_envelopes)
             tel.count("engine.quiescent_skips", n - len(touched))
@@ -304,18 +324,69 @@ class RoundEngine:
         return record
 
     # ------------------------------------------------------------------ #
-    # Transports: each send half returns (routed, envelopes, bits, senders,
-    # compose seconds), where ``routed`` maps a receiver to what it got.
+    # The node hooks, run in process (ShardedRoundEngine runs them in its
+    # shard workers instead).
     # ------------------------------------------------------------------ #
-    def _send_envelopes(
-        self, round_index: int, active: Sequence[int], drops: bool, timed: bool
-    ) -> Tuple[Dict[int, Dict[int, Envelope]], int, int, Set[int], float]:
-        """Per-envelope transport: compose, validate, charge and route each envelope.
+    def _react_and_compose(
+        self,
+        round_index: int,
+        active: Sequence[int],
+        indications: Mapping[int, NodeIndication],
+        resets: Sequence[int],
+    ):
+        """Rebuild amnesiac nodes, then run the stage-2 hooks over ``active``.
+
+        Returns what the nodes composed: the filled batch buffer, or
+        ``(sender, outgoing)`` pairs in ``active`` order.
+        """
+        nodes = self.nodes
+        for v in resets:
+            # Amnesia recoveries: the node comes back blank and then receives
+            # this round's (re-insertion) indications like everyone else.
+            fresh = nodes[v] = self.faults.fresh_node(v, self.network.n)
+            if type(fresh) is not self._port:
+                # A fault plan rebuilding nodes as a different class breaks
+                # the one-class invariant; fall back to per-envelope for good.
+                self._port = None
+        for v in active:
+            ind = indications.get(v, _NO_INDICATION)
+            nodes[v].on_topology_change(round_index, ind.inserted, ind.deleted)
+        if self._port is None:
+            return [(v, nodes[v].compose_messages(round_index)) for v in active]
+        buf = self._buf
+        buf.clear()
+        if active:
+            self._port.columnar_compose(nodes, active, round_index, buf)
+        return buf
+
+    def _deliver_and_report(
+        self, round_index: int, touched: Sequence[int], routed: Mapping[int, object]
+    ) -> Verdicts:
+        """Run the stage-3 hooks over ``touched`` and report their verdicts."""
+        nodes = self.nodes
+        if self._port is not None:
+            self._port.columnar_deliver(nodes, round_index, touched, self._buf, routed)
+        else:
+            for v in touched:
+                nodes[v].on_messages(round_index, routed.get(v, _EMPTY_INBOX))
+        return report_verdicts(nodes, touched, self._sparse)
+
+    # ------------------------------------------------------------------ #
+    # Transports: each routes what the nodes composed and returns (routed,
+    # envelopes, bits, senders), where ``routed`` maps a receiver to what
+    # it got.
+    # ------------------------------------------------------------------ #
+    def _route_envelopes(
+        self,
+        round_index: int,
+        outgoing: Iterable[Tuple[int, Mapping[int, Envelope]]],
+        drops: bool,
+    ) -> Tuple[Dict[int, Dict[int, Envelope]], int, int, Set[int]]:
+        """Per-envelope transport: validate, charge and route each envelope.
 
         Inboxes are created lazily: only nodes that actually receive
         something get a dict of their own.
         """
-        nodes = self.nodes
         n = self.network.n
         has_edge = self.network.has_edge
         charge = self.bandwidth.charge
@@ -324,14 +395,8 @@ class RoundEngine:
         senders: Set[int] = set()
         num_envelopes = 0
         bits_sent = 0
-        compose_s = 0.0
-        for v in active:
-            if timed:
-                c0 = perf_counter()
-            outgoing = nodes[v].compose_messages(round_index)
-            if timed:
-                compose_s += perf_counter() - c0
-            for target, envelope in outgoing.items():
+        for v, out in outgoing:
+            for target, envelope in out.items():
                 if target == v or not has_edge(v, target):
                     raise _target_error(round_index, v, target)
                 size = charge(round_index, v, target, envelope, n)
@@ -345,30 +410,24 @@ class RoundEngine:
                     if drops and faults.message_dropped(round_index, v, target):
                         continue
                     inboxes.setdefault(target, {})[v] = envelope
-        return inboxes, num_envelopes, bits_sent, senders, compose_s
+        return inboxes, num_envelopes, bits_sent, senders
 
-    def _send_batch(
-        self, round_index: int, active: Sequence[int], drops: bool, timed: bool
-    ) -> Tuple[Dict[int, List[int]], int, int, Set[int], float]:
-        """Batch transport: compose one buffer, check and charge it, group rows."""
-        if not active:
-            # Nobody can send: skip the buffer work that dominates quiet rounds.
-            return {}, 0, 0, set(), 0.0
-        buf = self._buf
-        buf.clear()
-        if timed:
-            c0 = perf_counter()
-        self._port.columnar_compose(self.nodes, active, round_index, buf)
-        compose_s = perf_counter() - c0 if timed else 0.0
+    def _route_batch(
+        self, round_index: int, buf: SendBuffer, drops: bool
+    ) -> Tuple[Dict[int, List[int]], int, int, Set[int]]:
+        """Batch transport: check and charge the buffer, group rows by receiver."""
+        count = len(buf)
+        if not count:
+            # Nobody sent: skip the buffer work that dominates quiet rounds.
+            return {}, 0, 0, set()
         has_edge = self.network.has_edge
         for v, target in zip(buf.senders, buf.targets):
             if target == v or not has_edge(v, target):
                 raise _target_error(round_index, v, target)
-        count = len(buf)
         bits_sent, largest, rows = buf.price(self.network.n)
         self.bandwidth.charge_rows(round_index, self.network.n, count, bits_sent, largest, rows)
         dropped = partial(self.faults.message_dropped, round_index) if drops else None
-        return buf.group(dropped), count, bits_sent, set(buf.senders), compose_s
+        return buf.group(dropped), count, bits_sent, set(buf.senders)
 
     def execute_quiet_round(self) -> RoundRecord:
         """Run one round with no topology changes."""

@@ -101,7 +101,7 @@ class SimulationResult:
 
 
 def drive_engine(
-    engine,
+    engine: RoundEngine,
     adversary: Adversary,
     *,
     num_rounds: Optional[int] = None,
@@ -109,14 +109,12 @@ def drive_engine(
     max_drain_rounds: int = 10_000,
     after_round: Optional[Callable[[], None]] = None,
 ) -> int:
-    """Drive any round engine against an adversary; returns rounds executed.
+    """Drive a round engine against an adversary; returns rounds executed.
 
-    Works with every object exposing the round-engine surface (``network``,
-    ``all_consistent``, ``execute_round``, ``execute_quiet_round``) -- both
-    :class:`~repro.simulator.rounds.RoundEngine` and
-    :class:`~repro.simulator.parallel.ShardedRoundEngine`.  ``after_round``
-    runs after every executed round, including drain rounds (the runner hooks
-    its validators here).
+    Any :class:`~repro.simulator.rounds.RoundEngine` works, the
+    :class:`~repro.simulator.parallel.ShardedRoundEngine` included.
+    ``after_round`` runs after every executed round, including drain rounds
+    (the runner hooks its validators here).
     """
     if num_rounds is None and not hasattr(adversary, "is_done"):
         raise ValueError("num_rounds is required for open-ended adversaries")
@@ -145,16 +143,15 @@ def drive_engine(
         # faults freeze on their own; the plan latches message loss off too
         # (unless configured ``during_drain``), otherwise a self-stabilizing
         # protocol re-sending the same lost update could drain forever.
-        faults = getattr(engine, "faults", None)
-        if faults is not None:
-            faults.enter_drain()
+        if engine.faults is not None:
+            engine.faults.enter_drain()
         drained = 0
         while not engine.all_consistent:
             # Quiet-round fast-forward (see RoundEngine.drain_fixpoint): when
             # the engine proves that no further quiet round can change any
             # node, the remaining drain rounds are batched into the terminal
             # verdict instead of being executed one by one.
-            if getattr(engine, "drain_fixpoint", False):
+            if engine.drain_fixpoint:
                 raise RuntimeError(
                     f"nodes {engine.inconsistent_nodes[:6]} can never become "
                     f"consistent: the engine reached a quiescent fixpoint after "
@@ -313,8 +310,6 @@ class SimulationRunner:
     def _run_validators(self) -> None:
         if not self._validators:
             return
-        nodes = ActiveNodesView(
-            self.nodes, getattr(self.engine, "last_active_nodes", None)
-        )
+        nodes = ActiveNodesView(self.nodes, self.engine.last_active_nodes)
         for validator in self._validators:
             validator(self.network.round_index, self.network, nodes)

@@ -62,6 +62,8 @@ __all__ = [
     "normalize_cell",
     "run_differential",
     "run_reference",
+    "run_sharded",
+    "cell_summary",
     "verify_campaign",
 ]
 
@@ -226,75 +228,87 @@ def run_reference(
     return result, outcomes
 
 
-def _summary_of(metrics, bandwidth, n: int, num_edges: int) -> Dict[str, float]:
-    out = dict(metrics.summary())
-    for key, value in bandwidth.summary(n).items():
-        out[f"bandwidth_{key}"] = float(value)
-    out["final_edges"] = float(num_edges)
-    return out
+def run_sharded(
+    spec: ExperimentSpec,
+    *,
+    engine_mode: str = "sparse",
+    record_trace: bool = True,
+    adversary=None,
+) -> ModeRun:
+    """Run one cell on the sharded engine; the counterpart of :func:`run_reference`.
 
-
-def _run_mode(
-    spec: ExperimentSpec, mode: str, checks: Sequence[str]
-) -> Tuple[ModeRun, Dict[str, CheckOutcome]]:
-    if mode in ENGINE_MODES:
-        result, outcomes = run_reference(spec, engine_mode=mode, checks=checks)
-        fingerprints = {v: algo.state_fingerprint() for v, algo in result.nodes.items()}
-        summary = _summary_of(
-            result.metrics, result.bandwidth, spec.n, result.network.num_edges
-        )
-        if result.faults is not None:
-            # Fault statistics (drops, resets, masked edges) join the gated
-            # summary: every engine mode must realize the identical fault
-            # schedule, not just identical records.
-            summary.update(
-                {key: float(v) for key, v in result.faults.stats.items()}
-            )
-        run = ModeRun(
-            mode=mode,
-            records=list(result.metrics.rounds),
-            trace=result.trace,
-            fingerprints=fingerprints,
-            edges=result.network.edges,
-            summary=summary,
-        )
-        return run, outcomes
-    if mode != "sharded":
-        raise ValueError(f"unknown differential mode {mode!r}; choose from {DEFAULT_MODES}")
-
+    Builds the cell's fault plan, wraps the adversary in the fault overlay
+    and (with ``record_trace``) in trace recording, drives a
+    :class:`~repro.simulator.parallel.ShardedRoundEngine` of the given
+    scheduling policy, and gathers what the differential harness compares.
+    Campaign cells with ``engine == "sharded"`` run through here too, so the
+    two share one set-up.  ``adversary`` accepts a prebuilt (unconsumed)
+    instance, as in :func:`run_reference`.
+    """
     plan = build_fault_plan(
         spec.faults, n=spec.n, seed=spec.seed, params=spec.fault_params
     )
-    inner = _build_cell_adversary(spec)
+    if adversary is None:
+        adversary = _build_cell_adversary(spec)
     if plan is not None and plan.affects_topology:
         # Trace recording wraps *outside* the overlay so the recorded trace
         # is the physical post-fault schedule -- comparable 1:1 with the
         # serial engines' traces.
-        inner = FaultOverlayAdversary(inner, spec.n, plan)
-    adversary = TraceRecordingAdversary(inner, spec.n)
+        adversary = FaultOverlayAdversary(adversary, spec.n, plan)
+    if record_trace:
+        adversary = TraceRecordingAdversary(adversary, spec.n)
     bandwidth = BandwidthPolicy(factor=spec.bandwidth_factor, strict=spec.strict_bandwidth)
     with ShardedRoundEngine(
         spec.n,
         ALGORITHMS[spec.algorithm],
         num_workers=spec.num_workers,
         bandwidth=bandwidth,
-        mode="sparse",
+        mode=engine_mode,
         faults=plan,
     ) as engine:
         drive_engine(engine, adversary, num_rounds=spec.rounds, drain=spec.drain)
         fingerprints = engine.state_fingerprints()
-        summary = _summary_of(engine.metrics, bandwidth, spec.n, engine.network.num_edges)
-        if plan is not None:
-            summary.update({key: float(v) for key, v in plan.stats.items()})
-        run = ModeRun(
-            mode=mode,
-            records=list(engine.metrics.rounds),
-            trace=adversary.trace,
-            fingerprints=fingerprints,
-            edges=engine.network.edges,
-            summary=summary,
-        )
-    return run, {}
+    return ModeRun(
+        mode="sharded",
+        records=list(engine.metrics.rounds),
+        trace=adversary.trace if record_trace else None,
+        fingerprints=fingerprints,
+        edges=engine.network.edges,
+        summary=cell_summary(engine.metrics, bandwidth, engine.network, plan),
+    )
+
+
+def cell_summary(metrics, bandwidth, network, faults) -> Dict[str, float]:
+    """A cell's gated summary: metrics, bandwidth, final edges and fault counts."""
+    out = dict(metrics.summary())
+    for key, value in bandwidth.summary(network.n).items():
+        out[f"bandwidth_{key}"] = float(value)
+    out["final_edges"] = float(network.num_edges)
+    if faults is not None:
+        # Fault statistics (drops, resets, masked edges) join the gated
+        # summary: every engine mode must realize the identical fault
+        # schedule, not just identical records.
+        out.update({key: float(v) for key, v in faults.stats.items()})
+    return out
+
+
+def _run_mode(
+    spec: ExperimentSpec, mode: str, checks: Sequence[str]
+) -> Tuple[ModeRun, Dict[str, CheckOutcome]]:
+    if mode == "sharded":
+        return run_sharded(spec), {}
+    if mode not in ENGINE_MODES:
+        raise ValueError(f"unknown differential mode {mode!r}; choose from {DEFAULT_MODES}")
+    result, outcomes = run_reference(spec, engine_mode=mode, checks=checks)
+    run = ModeRun(
+        mode=mode,
+        records=list(result.metrics.rounds),
+        trace=result.trace,
+        fingerprints={v: algo.state_fingerprint() for v, algo in result.nodes.items()},
+        edges=result.network.edges,
+        summary=cell_summary(result.metrics, result.bandwidth, result.network, result.faults),
+    )
+    return run, outcomes
 
 
 # --------------------------------------------------------------------- #

@@ -8,7 +8,10 @@ running any job:
 
 * every ``python -m <module>`` resolves;
 * every ``*.py`` script path exists in the repository;
-* every ``repro-dynamic-subgraphs <sub>`` is a registered subcommand;
+* every ``repro-dynamic-subgraphs <sub> ...`` names a registered
+  subcommand, and its arguments parse with that subcommand's own parser,
+  the way its ``*_main`` parses them (shell loop variables expanded over
+  their ``for`` lists); every ``--modes`` list names known engine modes;
 * every heredoc JSON spec (``cat > spec.json <<'EOF'``) passes
   :class:`~repro.experiments.CampaignSpec` validation, cells included;
 * every inline ``python - <<'EOF'`` program compiles.
@@ -16,16 +19,21 @@ running any job:
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import re
+import shlex
 import textwrap
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 import pytest
 
+from repro import cli
 from repro.cli import SUBCOMMANDS
 from repro.experiments import CampaignSpec
+from repro.verification import DEFAULT_MODES
 
 yaml = pytest.importorskip("yaml")
 
@@ -39,7 +47,71 @@ _HEREDOC = re.compile(
 )
 _MODULE = re.compile(r"\bpython3?\s+-m\s+([\w.]+)")
 _SCRIPT = re.compile(r"\bpython3?\s+([\w./-]+\.py)\b")
-_SUBCOMMAND = re.compile(r"\brepro-dynamic-subgraphs\s+(\S+)")
+_CONSOLE_SCRIPT = "repro-dynamic-subgraphs"
+_LOOP = re.compile(r"\bfor\s+(\w+)\s+in\s+([^;\n]+);")
+
+#: How each subcommand's ``*_main`` parses its arguments (``None``: the
+#: single run, which has no subcommand word).
+PARSERS = {
+    None: (cli.build_parser, "parse_args"),
+    "campaign": (cli.build_campaign_parser, "parse_args"),
+    "verify": (cli.build_verify_parser, "parse_args"),
+    "fuzz": (cli.build_fuzz_parser, "parse_args"),
+    "telemetry": (cli.build_telemetry_parser, "parse_intermixed_args"),
+    "serve": (cli.build_serve_parser, "parse_args"),
+}
+
+
+def invocations(script: str, commands: str) -> Iterator[List[str]]:
+    """The argument list of every console-script call in ``commands``.
+
+    A call ends at the first shell operator.  ``$var`` bound by a
+    ``for var in ...;`` loop of ``script`` yields one call per loop value.
+    """
+    loops = {var: values.split() for var, values in _LOOP.findall(script)}
+    for line in commands.splitlines():
+        if _CONSOLE_SCRIPT not in line:
+            continue
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        for start in (i for i, tok in enumerate(tokens) if tok == _CONSOLE_SCRIPT):
+            args: List[str] = []
+            for token in tokens[start + 1:]:
+                if token and all(ch in "();<>|&" for ch in token):
+                    break
+                args.append(token)
+            calls = [args]
+            for var, values in loops.items():
+                if any(f"${var}" in arg for arg in args):
+                    calls = [
+                        [arg.replace(f"${var}", value) for arg in call]
+                        for call in calls
+                        for value in values
+                    ]
+            yield from calls
+
+
+def argument_problems(args: List[str]) -> List[str]:
+    """Why ``args`` would fail before the program runs (empty if sound)."""
+    sub = args[0] if args and not args[0].startswith("-") else None
+    if sub is not None and sub not in SUBCOMMANDS:
+        return [f"{sub!r} is not a registered subcommand"]
+    build, parse = PARSERS[sub]
+    rest = args[1:] if sub is not None else args
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage):
+            namespace = getattr(build(), parse)(rest)
+    except SystemExit:
+        error = usage.getvalue().strip().splitlines()[-1]
+        return [f"arguments {shlex.join(args)!r} do not parse: {error}"]
+    # Split the way verify_main and fuzz_main split their --modes.
+    modes = [part.strip() for part in getattr(namespace, "modes", "").split(",")]
+    unknown = [mode for mode in modes if mode and mode not in DEFAULT_MODES]
+    if unknown:
+        return [f"--modes names unknown engine modes {unknown}"]
+    return []
 
 
 def check_workflow(text: str) -> Dict[str, List[str]]:
@@ -91,12 +163,10 @@ def check_workflow(text: str) -> Dict[str, List[str]]:
                 found["scripts"].append(path)
                 if not (ROOT / path).is_file():
                     problems.append(f"{where}: script {path} does not exist")
-            for sub in _SUBCOMMAND.findall(commands):
-                if sub.startswith("-"):
-                    continue  # a single run's flags, not a subcommand
-                found["subcommands"].append(sub)
-                if sub not in SUBCOMMANDS:
-                    problems.append(f"{where}: {sub!r} is not a registered subcommand")
+            for args in invocations(script, commands):
+                if args and not args[0].startswith("-"):
+                    found["subcommands"].append(args[0])
+                problems.extend(f"{where}: {p}" for p in argument_problems(args))
     return found
 
 
@@ -116,6 +186,11 @@ class TestWorkflow:
         assert "pytest" in found["modules"]
         assert "perfbench/run.py" in found["scripts"]
         assert set(found["subcommands"]) == set(SUBCOMMANDS)
+        # The serve loop expands to one call per engine.
+        assert found["subcommands"].count("serve") == 2
+
+    def test_every_subcommand_has_its_parser(self):
+        assert set(PARSERS) - {None} == set(SUBCOMMANDS)
 
     @pytest.mark.parametrize(
         "old,new,problem",
@@ -149,6 +224,24 @@ class TestWorkflow:
                 "repro-dynamic-subgraphs verifyy",
                 "not a registered subcommand",
                 id="unknown-subcommand",
+            ),
+            pytest.param(
+                "--jobs 4 --out ci-campaign\n",
+                "--jobz 4 --out ci-campaign\n",
+                "do not parse: repro-dynamic-subgraphs campaign: error: unrecognized arguments",
+                id="misspelt-flag",
+            ),
+            pytest.param(
+                "--modes dense,sparse,sharded --require-all-checks",
+                "--modes dense,sparse,shardd --require-all-checks",
+                "--modes names unknown engine modes ['shardd']",
+                id="misspelt-mode",
+            ),
+            pytest.param(
+                "for mode in dense sparse; do",
+                "for mode in dense sparse sharded; do",
+                "argument --engine: invalid choice: 'sharded'",
+                id="serve-loop-value",
             ),
             pytest.param(
                 "import json, sys",

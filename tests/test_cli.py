@@ -384,3 +384,21 @@ class TestBandwidthFactorValidation:
         assert code == 2
         assert f"{self.MESSAGE} {factor}" in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
+
+
+class TestSpecFieldTypes:
+    """A wrongly typed spec field is a usage error, not a traceback: exit 2."""
+
+    @pytest.mark.parametrize("subcommand", ["campaign", "verify"])
+    def test_string_rounds_exits_2(self, subcommand, tmp_path, capsys):
+        spec = {
+            "name": "typed",
+            "base": {"algorithm": "triangle", "adversary": "churn", "n": 8, "rounds": "3"},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [subcommand, "--spec", str(path)]
+        if subcommand == "campaign":
+            argv += ["--out", str(tmp_path / "store")]
+        assert main(argv) == 2
+        assert "error: rounds must be an integer or null, got '3'" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments import CampaignSpec, ExperimentSpec
@@ -78,6 +80,44 @@ class TestExperimentSpecValidation:
     def test_tiny_n_rejected(self):
         with pytest.raises(ValueError, match="n must be"):
             ExperimentSpec(n=1)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("drain", "no", "drain must be true or false, got 'no'"),
+            ("strict_bandwidth", 1, "strict_bandwidth must be true or false"),
+            ("record_trace", None, "record_trace must be true or false"),
+            ("rounds", "3", "rounds must be an integer or null, got '3'"),
+            ("rounds", 2.0, "rounds must be an integer or null"),
+            ("n", 8.5, "n must be an integer, got 8.5"),
+            ("n", True, "n must be an integer, got True"),
+            ("seed", "1", "seed must be an integer"),
+            ("num_workers", 2.0, "num_workers must be an integer"),
+            ("adversary_params", [1], "adversary_params must be an object, got [1]"),
+            ("fault_params", "p=0.1", "fault_params must be an object"),
+            ("checks", "triangle_oracle", "checks must be a list of check names"),
+            ("checks", [1], "checks must be a list of check names"),
+            ("algorithm", ["triangle"], "algorithm must be a string"),
+            ("engine_mode", None, "engine_mode must be a string"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec.from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("seeds", 3, "seeds must be a list of integers, got 3"),
+            ("seeds", [0, "1"], "seeds must be a list of integers"),
+            ("base", [1], "base must be an object, got [1]"),
+            ("grid", [1], "grid must be an object"),
+            ("name", 5, "name must be a string, got 5"),
+        ],
+    )
+    def test_wrongly_typed_campaign_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CampaignSpec.from_dict({"name": "typed", **{field: value}})
 
 
 class TestCellId:
@@ -235,6 +275,10 @@ class TestEngineMode:
         """Cell ids key campaign resume; pin them for the default cell."""
         assert ExperimentSpec(engine_mode="sparse").cell_id == "triangle-churn-n16-s0-b01ee9e158"
         assert ExperimentSpec(engine_mode="dense").cell_id == "triangle-churn-n16-s0-d1c493f8ba"
+        assert (
+            ExperimentSpec(engine="sharded", num_workers=3).cell_id
+            == "triangle-churn-n16-s0-3a2d58eb79"
+        )
 
     def test_engine_mode_round_trips(self):
         spec = ExperimentSpec(engine_mode="dense")

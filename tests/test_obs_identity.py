@@ -122,6 +122,33 @@ class TestBitIdentity:
             execute_cell(_spec(), profile="magic")
 
 
+class TestEngineTelemetryAgrees:
+    """Engine telemetry means the same under every engine: one round loop."""
+
+    def test_sparse_and_sharded_count_the_same_schedule(self, tmp_path):
+        snapshots = {}
+        for name, config in (
+            ("sparse", {"engine_mode": "sparse"}),
+            ("sharded", {"engine": "sharded", "num_workers": 2}),
+        ):
+            spec = _spec(
+                n=24,
+                seed=1,
+                adversary_params={"inserts_per_round": 3, "deletes_per_round": 2},
+                **config,
+            )
+            record, _ = execute_cell(spec, telemetry_dir=tmp_path / name)
+            assert record["status"] == "ok"
+            snapshots[name] = load_final_snapshot(record["telemetry_path"])
+        sparse, sharded = snapshots["sparse"], snapshots["sharded"]
+        for counter in ("engine.rounds", "engine.envelopes", "engine.quiescent_skips"):
+            assert sharded["counters"][counter] == sparse["counters"][counter], counter
+        for name in ("engine.active_set", "engine.touched_set", "engine.inbox_fanout"):
+            ours, theirs = sharded["histograms"][name], sparse["histograms"][name]
+            assert (ours["count"], ours["sum"]) == (theirs["count"], theirs["sum"]), name
+        assert sparse["histograms"]["engine.active_set"]["sum"] > 0
+
+
 def _campaign(**telemetry) -> CampaignSpec:
     return CampaignSpec(
         name="obs-identity",

@@ -15,6 +15,7 @@ from repro.obs import (
     TelemetrySink,
     load_final_snapshot,
 )
+from repro.obs.sink import read_jsonl
 
 
 class TestHistogram:
@@ -251,6 +252,14 @@ class TestTelemetrySink:
             handle.write('{"torn": tru')  # crashed mid-append
         snap = load_final_snapshot(path)
         assert snap is not None and snap["counters"] == {"c": 1}
+
+    def test_read_jsonl_numbers_lines_and_skips_torn_ones(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        torn = '{"note": "π≈3'.encode()[:-2]  # torn inside a multi-byte character
+        path.write_bytes(b'{"a": 1}\n\n' + torn + b'\n[2]\n{"b"')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, [2])]
+        with pytest.raises(OSError):
+            list(read_jsonl(tmp_path / "missing.jsonl"))
 
     def test_load_final_snapshot_missing_file(self, tmp_path):
         assert load_final_snapshot(tmp_path / "nope.jsonl") is None

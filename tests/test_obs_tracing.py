@@ -241,3 +241,16 @@ class TestTracingBitIdentity:
         events = read_trace_jsonl(traced_record["trace_events_path"])
         assert traced_record["trace_events"] == len(events) > 0
         assert any(e["name"] == "engine.round" for e in events)
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_every_engine_emits_the_same_stage_slices(self, config, tmp_path):
+        """One round loop: one coordinator slice per stage span, any engine."""
+        record, _ = execute_cell(
+            _spec(**config), telemetry_dir=tmp_path, trace_events=True
+        )
+        events = read_trace_jsonl(record["trace_events_path"])
+        stages = {e["name"] for e in events if "worker" not in e}
+        assert stages == {
+            "engine.indications", "engine.compute", "engine.route",
+            "engine.deliver", "engine.query", "engine.round",
+        }

@@ -1,5 +1,6 @@
 """Tests for the process-parallel sharded round engine."""
 
+import multiprocessing
 import sys
 
 import pytest
@@ -92,6 +93,17 @@ class TestEquivalenceWithSerialEngine:
                     assert sharded.query(v, EdgeQuery(v, u)) is expected
         finally:
             sharded.shutdown()
+
+    def test_worker_dying_at_start_up_stops_the_others(self):
+        def factory(v, n):
+            if v == 5:
+                raise ValueError("node 5 cannot be built")
+            return TriangleMembershipNode(v, n)
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(EOFError):
+            ShardedRoundEngine(8, factory, num_workers=2)
+        assert set(multiprocessing.active_children()) <= before
 
     def test_context_manager_shuts_down(self):
         with ShardedRoundEngine(6, RobustTwoHopNode, num_workers=2) as engine:
