@@ -4,8 +4,11 @@ This is the middle layer of the serving subsystem (:mod:`repro.serve`).  It
 owns a :class:`~repro.simulator.rounds.RoundEngine` running one of the
 paper's data structures on every node of a
 :class:`~repro.simulator.network.DynamicNetwork`, advances it one round per
-ingested batch, and exposes typed query helpers returning
-:class:`MonitorAnswer` objects (definite answer or "still propagating").
+ingested batch, and answers local queries through one path,
+:meth:`ServingMonitor.answer`, which returns one of three shared
+:class:`MonitorAnswer` values (definite true/false or "still propagating");
+the typed helpers (``knows_edge``, ``is_triangle``, ...) build a query
+object and call it.
 
 It deliberately knows nothing about *where* batches come from (that is the
 ingestion layer, :mod:`repro.serve.ingest`) or *who* is asking (standing
@@ -74,6 +77,12 @@ STRUCTURES = {
 class MonitorAnswer:
     """Answer of a monitor query.
 
+    A query has three possible answers, and the monitor returns one of three
+    shared instances for them (:meth:`from_result`,
+    :meth:`ServingMonitor.list_cycle`), so answering builds no answer object
+    and two answers can be compared by identity before equality.  An instance
+    built directly still compares equal to the shared one of its value.
+
     Attributes:
         value: the Boolean answer, or ``None`` while the node is inconsistent.
         definite: whether the answer is usable right now.  ``False`` means the
@@ -87,12 +96,27 @@ class MonitorAnswer:
 
     @classmethod
     def from_result(cls, result: QueryResult) -> "MonitorAnswer":
-        if result is QueryResult.INCONSISTENT:
-            return cls(value=None, definite=False)
-        return cls(value=result is QueryResult.TRUE, definite=True)
+        """The shared answer for ``result``.
+
+        Picked by identity against module-level aliases of the members, which
+        is cheaper than an enum-keyed dict (whose ``__hash__`` runs Python
+        code) or a ``QueryResult.TRUE`` lookup on the enum class.
+        """
+        if result is _RESULT_TRUE:
+            return _TRUE
+        if result is _RESULT_INCONSISTENT:
+            return _INDEFINITE
+        return _FALSE
 
     def __bool__(self) -> bool:
         return bool(self.value)
+
+
+_RESULT_TRUE = QueryResult.TRUE
+_RESULT_INCONSISTENT = QueryResult.INCONSISTENT
+_TRUE = MonitorAnswer(value=True, definite=True)
+_FALSE = MonitorAnswer(value=False, definite=True)
+_INDEFINITE = MonitorAnswer(value=None, definite=False)
 
 
 class ServingMonitor:
@@ -229,7 +253,15 @@ class ServingMonitor:
     # ------------------------------------------------------------------ #
     # Queries (all answered by the queried node's local state only)
     # ------------------------------------------------------------------ #
-    def _query(self, node: int, query) -> MonitorAnswer:
+    def answer(self, node: int, query) -> MonitorAnswer:
+        """Ask ``node`` one query object (:class:`~repro.core.EdgeQuery`,
+        :class:`~repro.core.TriangleQuery`, ...) and wrap its local answer.
+
+        The one query path: the helpers below build their query object per
+        call, standing subscriptions build theirs once at registration.  The
+        node is looked up on every call.  Returns one of the three shared
+        :class:`MonitorAnswer` values.
+        """
         # Per-query answer latency is the monitoring-service SLO quantity
         # (p50/p95/p99 in the telemetry report), so it gets its own histogram
         # rather than just a span.
@@ -245,23 +277,23 @@ class ServingMonitor:
 
     def knows_edge(self, node: int, u: int, w: int) -> MonitorAnswer:
         """Does ``node`` currently know the edge ``{u, w}`` (robust-neighborhood query)?"""
-        return self._query(node, EdgeQuery(u, w))
+        return self.answer(node, EdgeQuery(u, w))
 
     def is_triangle(self, a: int, b: int, c: int, *, ask: Optional[int] = None) -> MonitorAnswer:
         """Is ``{a, b, c}`` a triangle?  Asked at ``ask`` (default: ``a``)."""
         node = a if ask is None else ask
-        return self._query(node, TriangleQuery({a, b, c}))
+        return self.answer(node, TriangleQuery({a, b, c}))
 
     def is_clique(self, members: Iterable[int], *, ask: Optional[int] = None) -> MonitorAnswer:
         """Is ``members`` a clique?  Asked at ``ask`` (default: the smallest member)."""
         members = frozenset(members)
         node = min(members) if ask is None else ask
-        return self._query(node, CliqueQuery(members))
+        return self.answer(node, CliqueQuery(members))
 
     def is_cycle(self, ordering: Sequence[int], *, ask: Optional[int] = None) -> MonitorAnswer:
         """Is the cyclically ordered ``ordering`` a cycle?  Asked at ``ask`` (default: first)."""
         node = ordering[0] if ask is None else ask
-        return self._query(node, CycleQuery(tuple(ordering)))
+        return self.answer(node, CycleQuery(tuple(ordering)))
 
     def list_cycle(self, members: Iterable[int]) -> MonitorAnswer:
         """Collective 4/5-cycle listing query: ask *every* member.
@@ -284,10 +316,8 @@ class ServingMonitor:
                 any_inconsistent = True
                 continue
             if node.knows_cycle_set(members):
-                return MonitorAnswer(value=True, definite=True)
-        if any_inconsistent:
-            return MonitorAnswer(value=None, definite=False)
-        return MonitorAnswer(value=False, definite=True)
+                return _TRUE
+        return _INDEFINITE if any_inconsistent else _FALSE
 
     # ------------------------------------------------------------------ #
     # Enumeration helpers (local state of one node)

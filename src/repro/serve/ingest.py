@@ -34,6 +34,7 @@ explicit integer ``round`` field, which takes precedence.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -219,8 +220,10 @@ class LogConverter:
     ) -> None:
         if n <= 0:
             raise ValueError("n must be positive")
-        if round_duration <= 0:
-            raise ValueError("round_duration must be positive")
+        if not math.isfinite(round_duration) or round_duration <= 0:
+            raise ValueError(f"round_duration must be a positive finite number, got {round_duration}")
+        if origin_ts is not None and not math.isfinite(origin_ts):
+            raise ValueError(f"origin_ts must be a finite number, got {origin_ts}")
         if max_quiet_gap is not None and max_quiet_gap < 0:
             raise ValueError("max_quiet_gap must be non-negative")
         self.n = n
@@ -357,12 +360,17 @@ class LogConverter:
 
     def _parse_ts(self, lineno: int, record: dict) -> float:
         ts = record.get("ts")
-        if not isinstance(ts, (int, float)) or isinstance(ts, bool):
-            raise LogConversionError(
-                f"line {lineno}: 'ts' must be a number (or provide an integer 'round'), "
-                f"got {ts!r}"
-            )
-        return float(ts)
+        if isinstance(ts, (int, float)) and not isinstance(ts, bool):
+            try:
+                value = float(ts)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if math.isfinite(value):
+                return value
+        raise LogConversionError(
+            f"line {lineno}: 'ts' must be a finite number (or provide an integer "
+            f"'round'), got {ts!r}"
+        )
 
     def _parse_round(self, lineno: int, value) -> int:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:

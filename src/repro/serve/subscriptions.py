@@ -26,6 +26,15 @@ evaluates the dirty set in registration order.  So the per-round sweep costs
 time in proportion to the dirty ball plus the dirty subscriptions, not to
 the number registered: a settled subscription outside the ball costs nothing.
 
+Evaluating one costs one local lookup.  ``register`` compiles each
+subscription once: it validates the spec and builds its query object (an
+``EdgeQuery``, ``TriangleQuery`` or ``CliqueQuery`` bound to the asked node
+id, or the sorted member tuple of a collective ``cycle`` query).
+Re-answering is then one :meth:`ServingMonitor.answer` call, which looks the
+node up afresh and returns one of three shared :class:`MonitorAnswer`
+values, so an evaluation builds no query or answer object and the sweep
+tells a moved answer by identity.
+
 Everything here is derived from engine-independent state (the ground-truth
 graph via the oracle, node answers via the monitor), so the full
 notification stream is bit-identical across the dense and sparse engines;
@@ -37,8 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from ..core import CliqueQuery, EdgeQuery, TriangleQuery
 from ..obs.telemetry import TELEMETRY
 from .core import MonitorAnswer, ServingMonitor
 
@@ -97,7 +107,14 @@ class AnswerChanged:
 
 
 class Subscription:
-    """One standing query: watched nodes, dirty-region radius, evaluator."""
+    """One standing query, compiled at registration.
+
+    ``query`` is the query object asked of node ``ask`` (an
+    :class:`~repro.core.EdgeQuery`, :class:`~repro.core.TriangleQuery` or
+    :class:`~repro.core.CliqueQuery`), built and validated once; a ``cycle``
+    subscription has no single asked node (``ask`` is ``None``) and keeps
+    its sorted member tuple, asked of every member collectively.
+    """
 
     __slots__ = (
         "subscription_id",
@@ -106,7 +123,8 @@ class Subscription:
         "watched",
         "radius",
         "order",
-        "_evaluate",
+        "ask",
+        "query",
         "answer",
         "dirty",
         "definite_streak",
@@ -119,7 +137,8 @@ class Subscription:
         kind: str,
         params: dict,
         watched: Tuple[int, ...],
-        evaluate: Callable[[ServingMonitor], MonitorAnswer],
+        ask: Optional[int],
+        query: object,
     ) -> None:
         self.subscription_id = subscription_id
         self.kind = kind
@@ -127,27 +146,33 @@ class Subscription:
         self.watched = watched
         self.radius = _KIND_RADIUS[kind]
         self.order = 0  # registration sequence number, set by the registry
-        self._evaluate = evaluate
+        self.ask = ask
+        self.query = query
         self.answer: Optional[MonitorAnswer] = None
         self.dirty = True  # evaluated at the next opportunity
         self.definite_streak = 0
         self.evaluations = 0
 
     def evaluate(self, monitor: ServingMonitor) -> MonitorAnswer:
+        """Re-answer from the current local state of the asked node (of every
+        member, for a cycle)."""
         self.evaluations += 1
-        return self._evaluate(monitor)
+        if self.ask is None:
+            return monitor.list_cycle(self.query)
+        return monitor.answer(self.ask, self.query)
 
     def to_dict(self) -> dict:
         return {"id": self.subscription_id, "kind": self.kind, **self.params}
 
 
-def _build_evaluator(
+def _compile(
     monitor: ServingMonitor, kind: str, params: dict
-) -> Tuple[dict, Tuple[int, ...], Callable[[ServingMonitor], MonitorAnswer]]:
-    """Validate one subscription's parameters and bind its query closure.
+) -> Tuple[dict, Tuple[int, ...], Optional[int], object]:
+    """Validate one subscription's parameters and build its query object.
 
     Returns the canonicalized params (what :meth:`Subscription.to_dict`
-    reports), the watched nodes and the evaluator.
+    reports), the watched nodes, the asked node (``None`` for ``cycle``) and
+    the query.
     """
     n = monitor.n
 
@@ -166,48 +191,38 @@ def _build_evaluator(
         node = check_node(required("node"))
         u = check_node(required("u"), "u")
         w = check_node(required("w"), "w")
+        if u == w:
+            raise ValueError(f"an edge subscription needs u != w, got u = w = {u}")
         if params:
             raise ValueError(f"unexpected edge-subscription params: {sorted(params)}")
-        return (
-            {"node": node, "u": u, "w": w},
-            (node,),
-            lambda m: m.knows_edge(node, u, w),
-        )
+        return {"node": node, "u": u, "w": w}, (node,), node, EdgeQuery(u, w)
     if kind in ("triangle", "clique", "cycle"):
         members = required("members")
+        if not isinstance(members, Iterable):
+            raise ValueError(f"'members' must be a list of node ids, got {members!r}")
         members = tuple(check_node(x, "member") for x in members)
         member_set = frozenset(members)
         if kind == "triangle" and len(member_set) != 3:
             raise ValueError(f"a triangle subscription needs 3 distinct members, got {members}")
         if len(member_set) < 3:
             raise ValueError(f"a {kind} subscription needs >= 3 distinct members, got {members}")
+        ordered = sorted(member_set)
         ask = params.pop("ask", None)
         if kind == "cycle":
             if ask is not None:
                 raise ValueError("cycle subscriptions ask every member collectively")
             if params:
                 raise ValueError(f"unexpected cycle-subscription params: {sorted(params)}")
-            watched = tuple(sorted(member_set))
-            return (
-                {"members": list(watched)},
-                watched,
-                lambda m: m.list_cycle(member_set),
-            )
-        ask = min(member_set) if ask is None else check_node(ask, "ask")
+            watched = tuple(ordered)
+            return {"members": ordered}, watched, None, watched
+        if ask is None:
+            ask = ordered[0]
+        elif check_node(ask, "ask") not in member_set:
+            raise ValueError(f"'ask' must be one of the members {ordered}, got {ask}")
         if params:
             raise ValueError(f"unexpected {kind}-subscription params: {sorted(params)}")
-        if kind == "triangle":
-            a, b, c = sorted(member_set)
-            return (
-                {"members": [a, b, c], "ask": ask},
-                (ask,),
-                lambda m: m.is_triangle(a, b, c, ask=ask),
-            )
-        return (
-            {"members": sorted(member_set), "ask": ask},
-            (ask,),
-            lambda m: m.is_clique(member_set, ask=ask),
-        )
+        query = TriangleQuery(member_set) if kind == "triangle" else CliqueQuery(member_set)
+        return {"members": ordered, "ask": ask}, (ask,), ask, query
     raise ValueError(f"unknown subscription kind {kind!r}; choose from {SUBSCRIPTION_KINDS}")
 
 
@@ -252,10 +267,13 @@ class SubscriptionRegistry:
         detection -- the first notification fires only when the answer
         *moves* from it.
         """
-        if subscription_id is not None and subscription_id in self._subscriptions:
-            raise ValueError(f"subscription id {subscription_id!r} already registered")
-        canonical, watched, evaluate = _build_evaluator(self.monitor, kind, dict(params))
-        subscription = Subscription("", kind, canonical, watched, evaluate)
+        if subscription_id is not None:
+            if not isinstance(subscription_id, str):
+                raise ValueError(f"'id' must be a string, got {subscription_id!r}")
+            if subscription_id in self._subscriptions:
+                raise ValueError(f"subscription id {subscription_id!r} already registered")
+        canonical, watched, ask, query = _compile(self.monitor, kind, dict(params))
+        subscription = Subscription("", kind, canonical, watched, ask, query)
         try:
             subscription.answer = subscription.evaluate(self.monitor)
         except TypeError as exc:
@@ -283,14 +301,23 @@ class SubscriptionRegistry:
                 return candidate
 
     def register_all(self, specs: Iterable[dict]) -> List[str]:
-        """Register a batch of ``{"id": ..., "kind": ..., ...params}`` dicts."""
+        """Register a batch of ``{"id": ..., "kind": ..., ...params}`` objects.
+
+        A bad spec raises ``ValueError`` naming its position,
+        ``(at subscriptions[i])``; the specs before it stay registered.
+        """
         ids = []
-        for spec in specs:
-            spec = dict(spec)
-            kind = spec.pop("kind", None)
-            if kind is None:
-                raise ValueError(f"subscription spec needs a 'kind': {spec}")
-            ids.append(self.register(kind, subscription_id=spec.pop("id", None), **spec))
+        for position, spec in enumerate(specs):
+            try:
+                if not isinstance(spec, Mapping):
+                    raise ValueError(f"a subscription spec must be an object, got {spec!r}")
+                spec = dict(spec)
+                kind = spec.pop("kind", None)
+                if kind is None:
+                    raise ValueError(f"a subscription spec needs a 'kind': {spec}")
+                ids.append(self.register(kind, subscription_id=spec.pop("id", None), **spec))
+            except ValueError as exc:
+                raise ValueError(f"{exc} (at subscriptions[{position}])") from exc
         return ids
 
     def unregister(self, subscription_id: str) -> None:
@@ -347,6 +374,7 @@ class SubscriptionRegistry:
                     dirty[subscription.order] = subscription
         notifications: List[AnswerChanged] = []
         monitor = self.monitor
+        settle_streak = self.settle_streak
         telemetry_on = TELEMETRY.enabled
         tracer = TELEMETRY.tracer if telemetry_on else None
         pending = sorted(dirty)
@@ -361,7 +389,9 @@ class SubscriptionRegistry:
                     tracer.add("serve.evaluate", start, end, round_index=round_index)
             else:
                 answer = subscription.evaluate(monitor)
-            if answer != subscription.answer:
+            # Answers are the monitor's three shared values, so identity
+            # settles the common case without the dataclass ``__eq__``.
+            if answer is not subscription.answer and answer != subscription.answer:
                 notifications.append(
                     AnswerChanged(
                         subscription_id=subscription.subscription_id,
@@ -374,7 +404,7 @@ class SubscriptionRegistry:
                 subscription.answer = answer
             if answer.definite:
                 subscription.definite_streak += 1
-                if subscription.definite_streak >= self.settle_streak:
+                if subscription.definite_streak >= settle_streak:
                     subscription.dirty = False
                     del dirty[order]
             else:

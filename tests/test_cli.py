@@ -353,6 +353,23 @@ class TestServeSubcommand:
         assert code == 2
         assert "error: a triangle subscription needs 'members'" in capsys.readouterr().err
 
+    def test_malformed_subscription_spec_names_its_position(self, tmp_path, capsys):
+        subs = tmp_path / "subs.json"
+        subs.write_text(json.dumps([{"kind": "triangle", "members": [0, 1, 2]}, 5]))
+        code = main(["serve", "--nodes", "8", "--subscriptions", str(subs)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: a subscription spec must be an object, got 5 (at subscriptions[1])" in err
+
+    def test_non_finite_log_timestamp_names_the_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"ts": 0, "u": 0, "v": 1, "op": "up"}\n{"ts": NaN, "u": 1, "v": 2, "op": "up"}\n'
+        )
+        code = main(["serve", "--source", "log", "--log", str(log), "--nodes", "8"])
+        assert code == 2
+        assert "error: line 2: 'ts' must be a finite number" in capsys.readouterr().err
+
 
 class TestBandwidthFactorValidation:
     """A non-positive factor is a usage error on every entry point: exit 2."""

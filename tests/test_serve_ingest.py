@@ -122,6 +122,12 @@ class TestLogConverter:
             (json.dumps({"ts": 0, "u": 0, "v": 99, "op": "up"}), "out of range"),
             (json.dumps({"u": 0, "v": 1, "op": "up"}), "'ts'"),
             (json.dumps({"round": -1, "u": 0, "v": 1, "op": "up"}), "'round'"),
+            # json reads Infinity/NaN, and 1e400 as inf; the 401-digit
+            # integer stays an int beyond the float range.
+            *[
+                ('{"ts": %s, "u": 1, "v": 2, "op": "up"}' % ts, "'ts' must be a finite number")
+                for ts in ("Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400)
+            ],
         ],
     )
     def test_bad_records_name_the_line(self, line, message):
@@ -147,6 +153,11 @@ class TestLogConverter:
             LogConverter(4, round_duration=0)
         with pytest.raises(ValueError):
             LogConverter(4, max_quiet_gap=-1)
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="round_duration must be a positive finite"):
+                LogConverter(4, round_duration=value)
+            with pytest.raises(ValueError, match="origin_ts must be a finite number"):
+                LogConverter(4, origin_ts=value)
 
 
 class TestEventSources:
