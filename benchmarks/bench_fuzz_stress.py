@@ -80,7 +80,6 @@ def run_stress(smoke: bool = False) -> Dict:
         algorithms=tuple(_CHECKS),
         n=8,
         schedule_rounds=25 if smoke else 40,
-        modes=("dense", "sparse"),
     )
     start = time.perf_counter()
     fuzz_report = run_fuzz(config)

@@ -42,8 +42,8 @@ from repro.simulator import ENGINE_MODES
 
 from benchmarks.harness import emit_table
 
-#: Serial engine modes the serving monitor accepts (sharded cannot serve
-#: in-process queries); kept in sync with the registry by construction.
+#: The engine modes the serving monitor accepts; kept in sync with the
+#: registry by construction.
 SERVING_MODES = ENGINE_MODES
 
 #: The two churn models.  ``flicker`` is the paper's Section 1.3 gadget

@@ -18,7 +18,7 @@ Installed as the ``repro-dynamic-subgraphs`` console script.  Three modes:
       repro-dynamic-subgraphs campaign --spec sweep.json --jobs 4
 
 * the ``verify`` subcommand differentially verifies every unique cell of a
-  sweep spec across the dense, sparse and sharded engines, running every
+  sweep spec across the dense and sparse scheduling policies, running every
   applicable registered check and reporting structured divergences::
 
       repro-dynamic-subgraphs verify --spec sweep.json
@@ -475,17 +475,12 @@ def build_verify_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dynamic-subgraphs verify",
         description="Differentially verify a sweep spec: run every unique cell under "
-        "two or more engine modes, assert bit-identity of round records, traces, "
+        "the dense and sparse engine modes, assert bit-identity of round records, traces, "
         "metrics and final node state, and execute every applicable registered "
         "check. Checks not exercised by the spec run on their own coverage cells, "
         "so a verify run executes the whole checks registry.",
     )
     parser.add_argument("--spec", type=Path, required=True, help="campaign spec JSON file")
-    parser.add_argument(
-        "--modes",
-        default="dense,sparse,sharded",
-        help="comma-separated engine modes to compare (default: dense,sparse,sharded)",
-    )
     parser.add_argument(
         "--limit", type=int, default=None, help="verify at most this many unique cells"
     )
@@ -511,19 +506,12 @@ def build_verify_parser() -> argparse.ArgumentParser:
 
 def verify_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``verify`` subcommand."""
-    from .verification import DEFAULT_MODES, verify_campaign
+    from .verification import verify_campaign
 
     args = build_verify_parser().parse_args(argv)
     configure_logging(args.log_level)
-    modes = tuple(part.strip() for part in args.modes.split(",") if part.strip())
     try:
         campaign = CampaignSpec.load(args.spec)
-        if any(mode not in DEFAULT_MODES for mode in modes):
-            raise ValueError(
-                f"unknown mode in {modes}; choose from {', '.join(DEFAULT_MODES)}"
-            )
-        if len(modes) < 2:
-            raise ValueError("verify needs at least two engine modes to compare")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -536,11 +524,10 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
         if not cell.ok:
             print(cell.report.describe(), file=sys.stderr)
 
-    print(f"verify {campaign.name!r} across {'/'.join(modes)}")
+    print(f"verify {campaign.name!r} across {'/'.join(ENGINE_MODES)}")
     try:
         summary = verify_campaign(
             campaign,
-            modes=modes,
             include_coverage=not args.no_coverage,
             limit=args.limit,
             progress=progress,
@@ -619,14 +606,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         help="phase mix of the schedule generator",
     )
     parser.add_argument(
-        "--modes",
-        default="dense,sparse",
-        help="comma-separated engine modes each cell is compared across "
-        "(default: dense,sparse; add sharded for full coverage). "
-        "--replay ignores this: each corpus entry replays under the modes "
-        "it was recorded with",
-    )
-    parser.add_argument(
         "--faults",
         default="",
         help="comma-separated fault-model axis cycled across cells "
@@ -668,11 +647,9 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     from .fuzz.corpus import CorpusStore
     from .fuzz.driver import FuzzConfig, run_fuzz
     from .fuzz.injected import inject_bug
-    from .verification import DEFAULT_MODES
 
     args = build_fuzz_parser().parse_args(argv)
     configure_logging(args.log_level)
-    modes = tuple(part.strip() for part in args.modes.split(",") if part.strip())
     algorithms = tuple(part.strip() for part in args.algorithms.split(",") if part.strip())
     config = None
     try:
@@ -680,12 +657,8 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
             if args.corpus is None:
                 raise ValueError("--replay needs --corpus DIR to replay from")
             # Replay ignores the fuzzing knobs (each entry carries its own
-            # modes/size), so they are deliberately not validated here.
+            # size), so they are deliberately not validated here.
         else:
-            if any(mode not in DEFAULT_MODES for mode in modes):
-                raise ValueError(
-                    f"unknown mode in {modes}; choose from {', '.join(DEFAULT_MODES)}"
-                )
             unknown = [a for a in algorithms if a not in ALGORITHMS]
             if unknown:
                 raise ValueError(
@@ -698,7 +671,6 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
                 n=args.nodes,
                 schedule_rounds=args.schedule_rounds,
                 profile=args.profile,
-                modes=modes,
                 shrink=args.shrink,
                 max_shrink_candidates=args.max_shrink_candidates,
                 faults=tuple(
@@ -783,7 +755,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         print(
             f"fuzz: budget {config.budget}, seed {config.seed}, n={config.n}, "
             f"{config.schedule_rounds} rounds/schedule, profile {config.profile}, "
-            f"modes {'/'.join(config.modes)}"
+            f"modes {'/'.join(ENGINE_MODES)}"
         )
         report = run_fuzz(config, corpus=corpus, progress=progress)
         if args.report is not None:
@@ -819,8 +791,7 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
         description="Inspect the telemetry a campaign collected. "
         "'report' merges every cell's final snapshot into one hotspot table: "
         "span cumulative times (sorted hottest first), histogram percentiles "
-        "and counters, across engines (coordinator and shard workers), "
-        "oracle, monitor and fuzz driver. "
+        "and counters, across the engine, oracle, monitor and fuzz driver. "
         "'trace' merges the per-cell trace-event JSONL files into one Chrome "
         "trace-event JSON, loadable in Perfetto (https://ui.perfetto.dev) or "
         "chrome://tracing. "
@@ -1077,8 +1048,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=sorted(ENGINE_MODES),
         default="sparse",
-        help="serial round scheduler (the process-parallel 'sharded' engine "
-        "cannot serve in-process queries and is rejected)",
+        help="round scheduler: dense (reference) or sparse (activity-proportional)",
     )
     parser.add_argument(
         "--subscriptions",

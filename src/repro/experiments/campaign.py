@@ -1,13 +1,13 @@
 """Parallel execution of an expanded experiment campaign.
 
 :func:`run_cell` executes one :class:`~repro.experiments.spec.ExperimentSpec`
-(serial or sharded engine) and returns its metrics plus the realized
+and returns its metrics plus the realized
 :class:`~repro.simulator.trace.TopologyTrace`.  :class:`CampaignRunner`
 expands a :class:`~repro.experiments.spec.CampaignSpec`, dispatches the
-pending cells one at a time to persistent worker processes (the same
-process-and-pipe idiom as
-:class:`~repro.simulator.parallel.ShardedRoundEngine`) and streams every
-finished cell straight into a :class:`~repro.experiments.store.ResultStore`.
+pending cells one at a time to persistent worker processes over pipes, and
+streams every finished cell straight into a
+:class:`~repro.experiments.store.ResultStore`.  Cells are the unit of
+parallelism: each one runs the serial round loop in its worker.
 
 The dispatch pool is *supervised*: a worker that dies mid-cell (OOM kill,
 segfault, ``kill -9``) is detected the moment its pipe closes, the cell is
@@ -105,16 +105,7 @@ def _run_cell_full(
     )
     # Deferred import: repro.verification.differential itself imports this
     # package, so binding it at call time keeps initialization acyclic.
-    from ..verification.differential import cell_summary, run_reference, run_sharded
-
-    if spec.engine == "sharded":
-        run = run_sharded(
-            spec,
-            engine_mode=spec.engine_mode,
-            record_trace=spec.record_trace,
-            adversary=adversary,
-        )
-        return run.summary, run.trace, _combined_fingerprint(run.fingerprints)
+    from ..verification.differential import cell_summary, run_reference
 
     result, outcomes = run_reference(
         spec,
@@ -161,8 +152,7 @@ def execute_cell(
     rides back on the record (``record["telemetry"]``) so campaign workers
     ship their telemetry to the coordinator over the existing result pipe.
     With ``trace_events`` additionally set, stage-level trace events are
-    collected into a bounded ring (including sharded-engine worker events,
-    merged at engine shutdown) and written to
+    collected into a bounded ring and written to
     ``<telemetry_dir>/<cell_id>.trace.jsonl`` for ``telemetry trace`` export.
     Telemetry and tracing are read-only bookkeeping: the produced record,
     trace and state fingerprint are bit-identical with and without them
@@ -260,7 +250,7 @@ def _campaign_worker(
     carries the runner's observability settings (telemetry/profiler
     directories and cadence) as a plain picklable dict.  Dispatching one
     cell per message -- instead of pre-splitting the grid into static
-    shards -- is what makes supervision possible: a dead or killed worker
+    slices -- is what makes supervision possible: a dead or killed worker
     takes down exactly the cell it was running, and the rest of the grid
     reflows onto the surviving (or respawned) workers.
     """
@@ -376,9 +366,7 @@ class CampaignRunner:
             requested method is unavailable on this platform the runner falls
             back to ``spawn`` (the worker target and its arguments are
             spawn-safe: a module-level function fed plain spec dicts), and
-            only runs inline when no start method is available at all.  The
-            workers are *not* daemonic, so cells using the sharded engine can
-            spawn their own shard processes.
+            only runs inline when no start method is available at all.
         telemetry: collect per-cell telemetry snapshots into the store's
             ``telemetry/`` directory.  ``None`` (the default) defers to the
             campaign spec's ``telemetry`` settings; ``True``/``False`` force

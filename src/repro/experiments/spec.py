@@ -2,7 +2,7 @@
 
 An :class:`ExperimentSpec` describes one simulation cell -- algorithm,
 adversary (with parameters), network size, round budget, seed, bandwidth
-policy, engine and end-of-run checks -- as plain data that round-trips
+policy, scheduling policy and end-of-run checks -- as plain data that round-trips
 through ``dict``/JSON.  A :class:`CampaignSpec` describes a whole sweep: a
 ``base`` cell plus a ``grid`` of axes whose cartesian product (times the
 ``seeds`` list) expands into the concrete cells.
@@ -43,7 +43,11 @@ from .registry import ADVERSARIES, ALGORITHMS, CHECKS
 
 __all__ = ["ExperimentSpec", "CampaignSpec"]
 
-_ENGINES = ("serial", "sharded")
+#: Fields of the removed multi-process engine.  The canonical form keeps
+#: them with their one remaining value, so the cell ids, spec hashes and
+#: stored records of every cell stay unchanged; ``from_dict`` accepts them
+#: with exactly these values.
+_FIXED_FIELDS = {"engine": "serial", "num_workers": 2}
 
 
 def _is_int(value: Any) -> bool:
@@ -54,9 +58,9 @@ def _is_int(value: Any) -> bool:
 #: before any value is, so a wrong type is a usage error and not a traceback
 #: (and ``"drain": "no"`` is not truthy).
 _FIELD_TYPES = (
-    (("algorithm", "adversary", "engine", "engine_mode", "faults"),
+    (("algorithm", "adversary", "engine_mode", "faults"),
      lambda v: isinstance(v, str), "a string"),
-    (("n", "seed", "num_workers"), _is_int, "an integer"),
+    (("n", "seed"), _is_int, "an integer"),
     (("rounds",), lambda v: v is None or _is_int(v), "an integer or null"),
     (("strict_bandwidth", "drain", "record_trace"),
      lambda v: isinstance(v, bool), "true or false"),
@@ -92,18 +96,15 @@ class ExperimentSpec:
         strict_bandwidth: whether exceeding the budget raises.
         drain: whether to run quiet rounds until all nodes are consistent
             after the adversary finishes.
-        engine: ``"serial"`` (:class:`~repro.simulator.runner.SimulationRunner`)
-            or ``"sharded"`` (:class:`~repro.simulator.parallel.ShardedRoundEngine`).
         engine_mode: round-scheduling policy, ``"sparse"`` (default;
             activity-proportional, only active nodes are visited, on the
             batch transport where the algorithm is ported) or ``"dense"``
             (every node every round).  Both produce bit-identical metrics
             and traces, so this axis is safe to sweep for performance
             studies.
-        num_workers: shard-process count for the sharded engine.
         record_trace: record the realized schedule for exact replay.
         checks: names of end-of-run checks (see
-            :data:`~repro.experiments.registry.CHECKS`); serial engine only.
+            :data:`~repro.experiments.registry.CHECKS`).
         faults: fault-model name (see :data:`~repro.faults.models.FAULTS`) or
             ``"none"``.  A sweepable axis like any other: the model's
             schedule is a pure function of this spec's seed, so every engine
@@ -121,9 +122,7 @@ class ExperimentSpec:
     bandwidth_factor: int = 8
     strict_bandwidth: bool = True
     drain: bool = True
-    engine: str = "serial"
     engine_mode: str = "sparse"
-    num_workers: int = 2
     record_trace: bool = True
     checks: Tuple[str, ...] = ()
     faults: str = FAULT_NONE
@@ -152,8 +151,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown adversary {self.adversary!r}; choose from {sorted(ADVERSARIES)}"
             )
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.engine_mode not in ENGINE_MODES:
             raise ValueError(
                 f"engine_mode must be one of {ENGINE_MODES}, got {self.engine_mode!r}"
@@ -165,17 +162,10 @@ class ExperimentSpec:
         BandwidthPolicy(factor=self.bandwidth_factor)
         if self.rounds is not None and self.rounds < 0:
             raise ValueError("rounds must be non-negative")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be positive")
         unknown_checks = [c for c in self.checks if c not in CHECKS]
         if unknown_checks:
             raise ValueError(
                 f"unknown checks {unknown_checks}; choose from {sorted(CHECKS)}"
-            )
-        if self.checks and self.engine != "serial":
-            raise ValueError(
-                "end-of-run checks need access to the node instances and are "
-                "only supported with engine='serial'"
             )
         # Reject inapplicable checks at spec-validation time rather than
         # mid-campaign: a check that only understands certain algorithms or
@@ -216,12 +206,14 @@ class ExperimentSpec:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (JSON-ready; tuples become lists).
 
-        The fault fields are emitted only when a fault model is set: the
+        The fault fields are emitted only when a fault model is set, and the
+        removed engine's fields always, with their fixed values: the
         canonical form (and therefore :attr:`spec_hash` and
-        :attr:`cell_id`) of every pre-existing faultless spec is unchanged,
-        so stored results keep resuming.
+        :attr:`cell_id`) of every pre-existing spec is unchanged, so stored
+        results keep resuming.
         """
         out = asdict(self)
+        out.update(_FIXED_FIELDS)
         out["checks"] = list(self.checks)
         if self.faults == FAULT_NONE:
             del out["faults"]
@@ -232,12 +224,19 @@ class ExperimentSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         """Build a spec from a dict, rejecting unknown keys."""
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - known - set(_FIXED_FIELDS)
         if unknown:
             raise ValueError(
                 f"unknown ExperimentSpec fields {sorted(unknown)}; known: {sorted(known)}"
             )
-        return cls(**deepcopy(dict(data)))
+        for key, value in _FIXED_FIELDS.items():
+            given = data.get(key, value)
+            if type(given) is not type(value) or given != value:
+                raise ValueError(
+                    f"{key} must be {value!r}, got {given!r}: the multi-process "
+                    "engine was removed"
+                )
+        return cls(**deepcopy({k: v for k, v in data.items() if k not in _FIXED_FIELDS}))
 
     @property
     def spec_hash(self) -> str:
@@ -350,7 +349,7 @@ class CampaignSpec:
         Returns the cells in deterministic order: the cartesian product walks
         the axes in insertion order, with the seed axis last.
         """
-        spec_fields = {f.name for f in fields(ExperimentSpec)}
+        spec_fields = {f.name for f in fields(ExperimentSpec)} | set(_FIXED_FIELDS)
         axes = list(self.grid.items())
         implicit_seed = "seed" not in self.grid
         if implicit_seed:

@@ -4,8 +4,8 @@ A :class:`FaultModel` describes *environmental* failures layered on top of the
 adversary's topology schedule: lossy links, crashing nodes, correlated
 regional outages and partition/heal cycles.  Every model is a pure function
 of ``(seed, round, ...)`` -- no hidden RNG state that depends on call order --
-so the same spec produces bit-identical fault schedules under the dense,
-sparse and sharded engines, and a scripted replay of a fuzzed schedule
+so the same spec produces bit-identical fault schedules under the dense and
+sparse scheduling policies, in every process, and a scripted replay of a fuzzed schedule
 re-derives exactly the physical topology the original run saw.
 
 Two fault surfaces exist:
@@ -59,8 +59,8 @@ def _digest(*parts) -> int:
     """A 64-bit digest of the given parts (stable across processes/platforms).
 
     The builtin ``hash()`` is salted per process, so every fault decision
-    goes through blake2b instead: same seed, same round, same answer, in the
-    coordinator and in every sharded worker.
+    goes through blake2b instead: same seed, same round, same answer, in
+    every process (campaign workers included).
     """
     h = blake2b(digest_size=8)
     for part in parts:
@@ -284,7 +284,7 @@ class RegionalOutage(FaultModel):
         self.amnesia = bool(amnesia)
 
     def _region_of(self, v: int) -> int:
-        # Same contiguous balanced split as shard_nodes: the first
+        # A contiguous balanced split of 0..n-1: the first
         # (n % regions) regions get one extra node.  regions <= n, so the
         # base block size is always >= 1.
         base, extra = divmod(self.n, self.regions)
@@ -358,9 +358,8 @@ class FaultPlan:
     cell metrics as ``fault_*`` keys), and the drain-freeze latch.
 
     The ``algorithm_factory`` attribute is set by whoever wires the plan into
-    a run (:class:`~repro.simulator.runner.SimulationRunner` or the sharded
-    engine); the engines call :meth:`fresh_node` through it to rebuild
-    amnesiac nodes.
+    a run (:class:`~repro.simulator.runner.SimulationRunner`); the engine
+    calls :meth:`fresh_node` through it to rebuild amnesiac nodes.
     """
 
     def __init__(self, model: FaultModel, *, during_drain: bool = False) -> None:

@@ -6,7 +6,7 @@ A :class:`CorpusStore` owns one directory (``ResultStore``-style JSONL)::
       corpus.jsonl   # one CorpusEntry per line, appended as failures land
 
 Every entry is a self-contained scripted reproducer -- algorithm, ``n``, the
-(minimized) schedule, the engine modes it was observed under and the recorded
+(minimized) schedule and the recorded
 :class:`~repro.fuzz.signature.FailureSignature` -- plus an ``expect`` verdict:
 
 * ``expect == "fail"``: the bug is open; replay is OK while the failure
@@ -14,11 +14,11 @@ Every entry is a self-contained scripted reproducer -- algorithm, ``n``, the
   failure stops reproducing* (the bug got fixed -- flip the entry to
   ``"pass"`` and keep it forever as a regression guard).
 * ``expect == "pass"``: the bug is fixed; replay is OK while the cell runs
-  clean under every recorded mode.
+  clean under dense and sparse.
 
 The committed corpus under ``tests/data/fuzz_corpus/`` is replayed by the
 tier-1 suite, so every bug the fuzzer ever minimized keeps being retested on
-all engines forever.
+both scheduling policies forever.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..experiments.spec import ExperimentSpec
 from ..obs.sink import read_jsonl
@@ -47,6 +47,8 @@ class CorpusEntry:
     fault plan (a pure function of the seed) rebuilds the physical faults on
     replay.  All three default to the fault-free values, so entries recorded
     before fault support round-trip bit-identically with unchanged ids.
+    Every entry replays under dense and sparse; :meth:`from_dict` ignores the
+    ``modes`` key older corpora carry.
     """
 
     algorithm: str
@@ -54,7 +56,6 @@ class CorpusEntry:
     trace: Dict[str, Any]  # TopologyTrace.to_dict() form
     signature: FailureSignature
     expect: str = "fail"
-    modes: Sequence[str] = ("dense", "sparse")
     drain: bool = True
     note: str = ""
     provenance: Dict[str, Any] = field(default_factory=dict)
@@ -66,7 +67,6 @@ class CorpusEntry:
     def __post_init__(self) -> None:
         if self.expect not in _EXPECTS:
             raise ValueError(f"expect must be one of {_EXPECTS}, got {self.expect!r}")
-        self.modes = tuple(self.modes)
 
     @property
     def entry_id(self) -> str:
@@ -111,7 +111,6 @@ class CorpusEntry:
             "trace": self.trace,
             "signature": self.signature.to_dict(),
             "expect": self.expect,
-            "modes": list(self.modes),
             "drain": self.drain,
             "note": self.note,
             "provenance": dict(self.provenance),
@@ -131,7 +130,6 @@ class CorpusEntry:
             trace=dict(data["trace"]),
             signature=FailureSignature.from_dict(data.get("signature", {})),
             expect=str(data.get("expect", "fail")),
-            modes=tuple(data.get("modes", ("dense", "sparse"))),
             drain=bool(data.get("drain", True)),
             note=str(data.get("note", "")),
             provenance=dict(data.get("provenance", {})),
@@ -222,11 +220,9 @@ class CorpusStore:
     # ------------------------------------------------------------------ #
     # Replay
     # ------------------------------------------------------------------ #
-    def replay(
-        self, entry: CorpusEntry, *, modes: Optional[Sequence[str]] = None
-    ) -> ReplayOutcome:
+    def replay(self, entry: CorpusEntry) -> ReplayOutcome:
         """Re-run one reproducer and grade it against its ``expect`` verdict."""
-        observed, _ = evaluate_spec(entry.spec(), tuple(modes or entry.modes))
+        observed, _ = evaluate_spec(entry.spec())
         if entry.expect == "pass":
             ok = not observed.is_failure
             detail = (
@@ -253,14 +249,13 @@ class CorpusStore:
     def replay_all(
         self,
         *,
-        modes: Optional[Sequence[str]] = None,
         progress: Optional[Callable[[ReplayOutcome, int, int], None]] = None,
     ) -> List[ReplayOutcome]:
         """Replay every stored entry; see :meth:`replay` for grading."""
         entries = self.entries()
         outcomes: List[ReplayOutcome] = []
         for i, entry in enumerate(entries):
-            outcome = self.replay(entry, modes=modes)
+            outcome = self.replay(entry)
             outcomes.append(outcome)
             if progress is not None:
                 progress(outcome, i + 1, len(entries))

@@ -1,8 +1,8 @@
 """The fuzzing loop: generate, differentially verify, shrink, bank.
 
 :func:`run_fuzz` turns a budget of seeded schedules into verdicts: every
-schedule runs through :func:`repro.verification.run_differential` across the
-configured engine modes with every applicable registered check; failures are
+schedule runs through :func:`repro.verification.run_differential` under dense
+and sparse with every applicable registered check; failures are
 distilled to :class:`~repro.fuzz.signature.FailureSignature` classes, the
 first schedule of each new class is ddmin-shrunk to a minimal scripted trace,
 and the minimized reproducer is banked in a
@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..experiments.spec import ExperimentSpec
 from ..obs.telemetry import TELEMETRY
+from ..simulator.rounds import ENGINE_MODES
 from .corpus import CorpusEntry, CorpusStore
 from .generators import PROFILES
 from .shrink import ShrinkResult, Shrinker
@@ -47,7 +48,6 @@ class FuzzConfig:
         n: network size of every fuzz cell.
         schedule_rounds: rounds per generated schedule.
         profile: phase mix (see :data:`repro.fuzz.generators.PROFILES`).
-        modes: engine modes compared per cell.
         shrink: ddmin-minimize the first failure of each new failure class.
         max_shrink_candidates: harness-run budget per shrink session.
         max_events_per_round: churn-burst intensity knob.
@@ -63,7 +63,6 @@ class FuzzConfig:
     n: int = 8
     schedule_rounds: int = 30
     profile: str = "mixed"
-    modes: Tuple[str, ...] = ("dense", "sparse")
     shrink: bool = False
     max_shrink_candidates: int = 1500
     max_events_per_round: int = 3
@@ -82,8 +81,6 @@ class FuzzConfig:
             raise ValueError("max_events_per_round must be positive")
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}; choose from {sorted(PROFILES)}")
-        if len(self.modes) < 2:
-            raise ValueError("fuzzing compares engines; need at least two modes")
         self.faults = tuple(self.faults)
         from ..faults.models import FAULTS
 
@@ -176,7 +173,7 @@ class FuzzReport:
                 "n": self.config.n,
                 "schedule_rounds": self.config.schedule_rounds,
                 "profile": self.config.profile,
-                "modes": list(self.config.modes),
+                "modes": list(ENGINE_MODES),
                 "shrink": self.config.shrink,
                 "faults": list(self.config.faults),
             },
@@ -254,7 +251,7 @@ def run_fuzz(
     for index in range(config.budget):
         spec = config.cell_spec(index)
         with TELEMETRY.span("fuzz.schedule"):
-            signature, _ = evaluate_spec(spec, config.modes)
+            signature, _ = evaluate_spec(spec)
         record = {
             "cell_id": spec.cell_id,
             "algorithm": spec.algorithm,
@@ -278,9 +275,7 @@ def run_fuzz(
             )
             known_classes.append((spec.algorithm, signature))
             if config.shrink and fresh.is_failure:
-                shrinker = Shrinker(
-                    config.modes, max_candidates=config.max_shrink_candidates
-                )
+                shrinker = Shrinker(max_candidates=config.max_shrink_candidates)
                 with TELEMETRY.span("fuzz.shrink"):
                     failure.shrink = shrinker.shrink(failure.scripted, fresh)
             if corpus is not None and fresh.is_failure:
@@ -291,7 +286,6 @@ def run_fuzz(
                     trace=reproducer.adversary_params["trace"],
                     signature=fresh,
                     expect="fail",
-                    modes=config.modes,
                     drain=reproducer.drain,
                     faults=reproducer.faults,
                     fault_params=dict(reproducer.fault_params),

@@ -155,9 +155,9 @@ def _num_events(rounds: Sequence[Round]) -> int:
 class Shrinker:
     """Minimizes failing schedules through the differential harness.
 
+    Every candidate is re-validated under dense and sparse.
+
     Args:
-        modes: engine modes each candidate is re-validated under (the same
-            modes the failure was observed with, normally).
         max_candidates: harness-run budget; when exhausted, the best
             reduction found so far is returned.
         min_n: smallest network the node-renaming pass may produce.
@@ -167,13 +167,11 @@ class Shrinker:
 
     def __init__(
         self,
-        modes: Sequence[str] = ("dense", "sparse"),
         *,
         max_candidates: int = 1500,
         min_n: int = 2,
         progress: Optional[Callable[[str, str], None]] = None,
     ) -> None:
-        self.modes = tuple(modes)
         self.max_candidates = max_candidates
         self.min_n = min_n
         self.progress = progress
@@ -220,7 +218,7 @@ class Shrinker:
         self._tried += 1
         if TELEMETRY.enabled:
             TELEMETRY.count("fuzz.shrink_candidates")
-        signature, _ = evaluate_spec(self._spec_for(template, rounds, n), self.modes)
+        signature, _ = evaluate_spec(self._spec_for(template, rounds, n))
         verdict = signature.matches(target)
         self._cache[key] = verdict
         if self.progress is not None:
@@ -320,12 +318,9 @@ class Shrinker:
         )
         n = spec.n
         if signature is None:
-            signature, _ = evaluate_spec(self._spec_for(spec, rounds, n), self.modes)
+            signature, _ = evaluate_spec(self._spec_for(spec, rounds, n))
         if not signature.is_failure:
-            raise ValueError(
-                f"cell {spec.cell_id} does not fail under modes {self.modes}; "
-                "nothing to shrink"
-            )
+            raise ValueError(f"cell {spec.cell_id} does not fail; nothing to shrink")
         before_rounds, before_events, before_n = len(rounds), _num_events(rounds), n
 
         while True:
@@ -365,11 +360,10 @@ def shrink_failure(
     spec: ExperimentSpec,
     signature: Optional[FailureSignature] = None,
     *,
-    modes: Sequence[str] = ("dense", "sparse"),
     max_candidates: int = 1500,
     progress: Optional[Callable[[str, str], None]] = None,
 ) -> ShrinkResult:
     """Convenience wrapper: one fresh :class:`Shrinker` session."""
-    return Shrinker(modes, max_candidates=max_candidates, progress=progress).shrink(
+    return Shrinker(max_candidates=max_candidates, progress=progress).shrink(
         spec, signature
     )

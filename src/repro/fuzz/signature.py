@@ -129,12 +129,10 @@ class FailureSignature:
         )
 
 
-def evaluate_spec(
-    spec: ExperimentSpec, modes: Sequence[str]
-) -> Tuple[FailureSignature, Optional[Any]]:
+def evaluate_spec(spec: ExperimentSpec) -> Tuple[FailureSignature, Optional[Any]]:
     """Run ``spec`` differentially and return ``(signature, report)``.
 
-    Every applicable registered check runs on the reference leg.  A run that
+    Every applicable registered check runs on the dense reference leg.  A run that
     raises (livelocked drain, bandwidth violation, message to a non-neighbor,
     ...) is itself a failure mode worth shrinking, so exceptions become
     ``errors`` signatures with ``report=None`` rather than propagating.
@@ -142,7 +140,7 @@ def evaluate_spec(
     from ..verification.differential import run_differential
 
     try:
-        report = run_differential(spec, modes=tuple(modes), auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
     except Exception as exc:  # noqa: BLE001 - the exception *is* the verdict
         return FailureSignature.of_error(exc), None
     return FailureSignature.of(report), report

@@ -2,13 +2,11 @@
 
 See :mod:`repro.obs.telemetry` for the zero-overhead-when-disabled design
 contract, :mod:`repro.obs.tracing` for the trace-event timeline layer,
-:mod:`repro.obs.report` for snapshot merging, :mod:`repro.obs.collect` for
-cross-process snapshot collection, :mod:`repro.obs.regress` for
+:mod:`repro.obs.report` for snapshot merging, :mod:`repro.obs.regress` for
 perf-regression tracking, and the README's "Observability" section for
 end-to-end usage.
 """
 
-from .collect import compute_shard_skew, merge_snapshot_into, record_shard_skew
 from .logcfg import LOG_LEVELS, configure_logging
 from .progress import CampaignProgress, format_duration
 from .regress import (
@@ -57,9 +55,6 @@ __all__ = [
     "load_trace_dir",
     "chrome_trace",
     "build_chrome_trace",
-    "merge_snapshot_into",
-    "compute_shard_skew",
-    "record_shard_skew",
     "CampaignProgress",
     "format_duration",
     "configure_logging",

@@ -2,8 +2,8 @@
 
 The telemetry registry (:mod:`repro.obs.telemetry`) answers *how much* time
 each stage took in aggregate; this module answers *when* — an event-level
-timeline of (stage, round, engine mode, worker) intervals that can cross
-process boundaries and load straight into Perfetto / ``chrome://tracing``.
+timeline of (stage, round, engine mode) intervals that loads straight into
+Perfetto / ``chrome://tracing``.
 
 Design mirrors the telemetry discipline exactly:
 
@@ -14,15 +14,15 @@ Design mirrors the telemetry discipline exactly:
   bookkeeping and never perturbs records, traces, metrics or fingerprints.
 * Events store :func:`time.perf_counter` begin/end stamps plus one
   ``(wall0, perf0)`` anchor pair captured at buffer construction.
-  ``perf_counter`` is process-local, so cross-process timelines (sharded
-  workers, campaign workers) are aligned by converting to wall-clock at
+  ``perf_counter`` is process-local, so the cells of a campaign (each traced
+  in its own worker process) are aligned by converting to wall-clock at
   export time: ``wall = perf + (wall0 - perf0)``.
 * The JSONL interchange format is one event dict per line — torn trailing
   lines (a killed worker mid-write) are skipped by the reader, mirroring
   :func:`repro.obs.report.load_final_snapshot`.
 * :func:`chrome_trace` renders merged events as Chrome trace-event JSON
-  (``ph: "X"`` complete events, microsecond timestamps, one pid per source,
-  one tid per worker) which Perfetto loads directly.
+  (``ph: "X"`` complete events, microsecond timestamps, one pid per source)
+  which Perfetto loads directly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import json
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from .sink import read_jsonl
 
@@ -57,11 +57,10 @@ TRACE_SUFFIX = ".trace.jsonl"
 class TraceBuffer:
     """A bounded ring buffer of timed trace events.
 
-    Events are ``(name, begin, end, round, mode, worker)`` tuples where
-    ``begin``/``end`` are ``perf_counter`` stamps in *this* process (or
-    pre-converted wall-clock stamps for buffers rebuilt via
-    :meth:`from_dict`).  Appending past ``capacity`` evicts the oldest
-    event and bumps :attr:`dropped` so exports can report truncation.
+    Events are ``(name, begin, end, round, mode)`` tuples where
+    ``begin``/``end`` are ``perf_counter`` stamps in *this* process.
+    Appending past ``capacity`` evicts the oldest event and bumps
+    :attr:`dropped` so exports can report truncation.
     """
 
     __slots__ = (
@@ -69,7 +68,6 @@ class TraceBuffer:
         "run_id",
         "cell_id",
         "engine_mode",
-        "worker",
         "wall0",
         "perf0",
         "dropped",
@@ -83,7 +81,6 @@ class TraceBuffer:
         run_id: Optional[str] = None,
         cell_id: Optional[str] = None,
         engine_mode: Optional[str] = None,
-        worker: Optional[int] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("trace capacity must be >= 1")
@@ -91,7 +88,6 @@ class TraceBuffer:
         self.run_id = run_id
         self.cell_id = cell_id
         self.engine_mode = engine_mode
-        self.worker = worker
         # Wall-clock anchor: perf_counter stamps are process-local, so every
         # buffer remembers one simultaneous (wall, perf) pair for conversion.
         self.wall0 = time.time()
@@ -109,20 +105,12 @@ class TraceBuffer:
         end: float,
         round_index: Optional[int] = None,
         mode: Optional[str] = None,
-        worker: Optional[int] = None,
     ) -> None:
         """Append one completed interval (perf_counter ``begin``/``end``)."""
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(
-            (
-                name,
-                begin,
-                end,
-                round_index,
-                mode if mode is not None else self.engine_mode,
-                worker if worker is not None else self.worker,
-            )
+            (name, begin, end, round_index, mode if mode is not None else self.engine_mode)
         )
 
     # ------------------------------------------------------------------ #
@@ -132,7 +120,7 @@ class TraceBuffer:
         """All buffered events as JSON-ready dicts with wall-clock ``ts``."""
         offset = self.wall0 - self.perf0
         out: List[Dict[str, Any]] = []
-        for name, begin, end, round_index, mode, worker in self._events:
+        for name, begin, end, round_index, mode in self._events:
             event: Dict[str, Any] = {
                 "name": name,
                 "ts": begin + offset,
@@ -142,68 +130,8 @@ class TraceBuffer:
                 event["round"] = round_index
             if mode is not None:
                 event["mode"] = mode
-            if worker is not None:
-                event["worker"] = worker
             out.append(event)
         return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Ship-ready form (wall-clock events) for pipes / JSON."""
-        return {
-            "capacity": self.capacity,
-            "run_id": self.run_id,
-            "cell_id": self.cell_id,
-            "dropped": self.dropped,
-            "events": self.events(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceBuffer":
-        """Rebuild a buffer from :meth:`to_dict` output.
-
-        The rebuilt buffer stores wall-clock stamps directly (its anchor is
-        the identity ``wall0 == perf0 == 0``), so it can be re-exported or
-        merged into another buffer without double-converting.
-        """
-        buf = cls(
-            int(data.get("capacity", DEFAULT_TRACE_CAPACITY)),
-            run_id=data.get("run_id"),
-            cell_id=data.get("cell_id"),
-        )
-        buf.wall0 = 0.0
-        buf.perf0 = 0.0
-        buf.dropped = int(data.get("dropped", 0))
-        for event in data.get("events", ()):
-            buf.add(
-                event["name"],
-                float(event["ts"]),
-                float(event["ts"]) + float(event.get("dur_s", 0.0)),
-                round_index=event.get("round"),
-                mode=event.get("mode"),
-                worker=event.get("worker"),
-            )
-        return buf
-
-    def extend_from_dict(self, data: Mapping[str, Any]) -> int:
-        """Merge another buffer's shipped events (e.g. a worker's) into this
-        ring, converting their wall-clock stamps back into this process's
-        perf_counter frame so a single export pass stays correct.  Returns
-        the number of events absorbed."""
-        offset = self.perf0 - self.wall0  # wall -> local perf frame
-        absorbed = 0
-        for event in data.get("events", ()):
-            begin = float(event["ts"]) + offset
-            self.add(
-                event["name"],
-                begin,
-                begin + float(event.get("dur_s", 0.0)),
-                round_index=event.get("round"),
-                mode=event.get("mode"),
-                worker=event.get("worker"),
-            )
-            absorbed += 1
-        self.dropped += int(data.get("dropped", 0))
-        return absorbed
 
 
 # ---------------------------------------------------------------------- #
@@ -266,12 +194,10 @@ def load_trace_dir(root: Path) -> Dict[str, List[Dict[str, Any]]]:
 def chrome_trace(sources: Mapping[str, Sequence[Mapping[str, Any]]]) -> Dict[str, Any]:
     """Render ``{source: events}`` as a Chrome trace-event JSON document.
 
-    Each source (a cell, a serve run) becomes one ``pid``; within a source,
-    the coordinator is ``tid 0`` and each shard/campaign worker ``w`` is
-    ``tid w + 1``.  Timestamps are microseconds relative to the earliest
-    event across all sources, which keeps the numbers small and lines every
-    process up on one shared wall-clock axis — exactly what Perfetto needs
-    to show shard skew visually.
+    Each source (a cell, a serve run) becomes one ``pid`` with its slices on
+    ``tid 0``.  Timestamps are microseconds relative to the earliest event
+    across all sources, which keeps the numbers small and lines every
+    source up on one shared wall-clock axis.
     """
     t0: Optional[float] = None
     for events in sources.values():
@@ -292,23 +218,7 @@ def chrome_trace(sources: Mapping[str, Sequence[Mapping[str, Any]]]) -> Dict[str
                 "args": {"name": source},
             }
         )
-        tids_seen: set = set()
         for event in events:
-            worker = event.get("worker")
-            tid = 0 if worker is None else int(worker) + 1
-            if tid not in tids_seen:
-                tids_seen.add(tid)
-                trace_events.append(
-                    {
-                        "ph": "M",
-                        "name": "thread_name",
-                        "pid": pid,
-                        "tid": tid,
-                        "args": {
-                            "name": "coordinator" if tid == 0 else f"worker-{worker}"
-                        },
-                    }
-                )
             name = str(event["name"])
             args: Dict[str, Any] = {}
             if event.get("round") is not None:
@@ -321,7 +231,7 @@ def chrome_trace(sources: Mapping[str, Sequence[Mapping[str, Any]]]) -> Dict[str
                     "name": name,
                     "cat": name.split(".", 1)[0],
                     "pid": pid,
-                    "tid": tid,
+                    "tid": 0,
                     "ts": (float(event["ts"]) - t0) * 1e6,
                     "dur": float(event.get("dur_s", 0.0)) * 1e6,
                     "args": args,

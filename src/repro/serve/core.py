@@ -20,12 +20,9 @@ simply *has* a dynamic graph uses this class directly::
     monitor.settle()                      # let announcements propagate
     monitor.is_triangle(0, 1, 2)          # MonitorAnswer(value=True, definite=True)
 
-The monitor rides either *serial* engine mode -- ``"dense"`` or ``"sparse"``
+The monitor rides either scheduling policy -- ``"dense"`` or ``"sparse"``
 (default) -- and produces bit-identical answers, metrics and state
-fingerprints under both.  The process-parallel ``"sharded"``
-engine is rejected at construction: it forks worker processes that own the
-node state, so in-process queries against ``self.nodes`` would silently read
-stale coordinator-side copies.
+fingerprints under both.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from ..simulator import (
     RoundRecord,
     create_engine,
 )
-from ..simulator.rounds import ENGINE_MODES
 
 __all__ = ["MonitorAnswer", "ServingMonitor", "STRUCTURES"]
 
@@ -133,9 +129,6 @@ class ServingMonitor:
         strict_bandwidth: raise if a message exceeds the budget (default).
         engine_mode: ``"sparse"`` (default, activity-proportional rounds) or
             ``"dense"`` (reference scheduler); identical results under both.
-            The process-parallel ``"sharded"`` engine is rejected here -- it
-            moves node state into worker processes, where in-process queries
-            cannot reach it.
     """
 
     def __init__(
@@ -147,12 +140,6 @@ class ServingMonitor:
         strict_bandwidth: bool = True,
         engine_mode: str = "sparse",
     ) -> None:
-        if engine_mode == "sharded":
-            raise ValueError(
-                "the monitor answers queries from in-process node state, but the "
-                "'sharded' engine moves that state into forked worker processes; "
-                f"choose one of the serial engine modes {ENGINE_MODES}"
-            )
         if isinstance(structure, str):
             try:
                 factory = STRUCTURES[structure]

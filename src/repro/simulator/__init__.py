@@ -12,10 +12,10 @@ The public surface is:
 * :class:`DynamicNetwork`, :class:`RoundChanges`, :class:`EdgeInsert`,
   :class:`EdgeDelete` -- the ground-truth dynamic graph and its change events.
 * :class:`NodeAlgorithm` -- the per-node algorithm interface.
-* :class:`RoundEngine` / :class:`SparseRoundEngine` /
-  :class:`ShardedRoundEngine` -- dense, activity-proportional and
-  process-parallel round execution (see also :class:`QuiescenceProtocol`,
-  and :class:`ColumnarProtocol` for the sparse policy's batch transport).
+* :class:`RoundEngine` / :class:`SparseRoundEngine` -- the one round loop
+  under its dense and activity-proportional scheduling policies (see also
+  :class:`QuiescenceProtocol`, and :class:`ColumnarProtocol` for the sparse
+  policy's batch transport).
 * :class:`SimulationRunner` / :class:`SimulationResult` -- end-to-end
   orchestration of an adversary against an algorithm.
 * :class:`BandwidthPolicy`, :class:`MetricsCollector` -- bandwidth and
@@ -48,7 +48,6 @@ from .node import (
     canonical_state,
     state_fingerprint,
 )
-from .parallel import ShardedRoundEngine, shard_nodes
 from .rounds import (
     ENGINE_MODES,
     MessageTargetError,
@@ -93,8 +92,6 @@ __all__ = [
     "RoundRecord",
     "RoundValidator",
     "SendBuffer",
-    "ShardedRoundEngine",
-    "shard_nodes",
     "state_fingerprint",
     "SimulationResult",
     "SimulationRunner",

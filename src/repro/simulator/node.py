@@ -97,9 +97,9 @@ def canonical_state(obj: Any) -> Any:
         return ("obj", type(obj).__name__, canonical_state(vars(obj)))
     rendered = repr(obj)
     if " object at 0x" in rendered:
-        # A default repr embeds the memory address, which differs between the
-        # coordinator and forked shard workers and would turn an identical
-        # run into a spurious final-state divergence.  Fail loudly instead.
+        # A default repr embeds the memory address, which differs between
+        # processes and runs and would turn an identical run into a spurious
+        # final-state divergence.  Fail loudly instead.
         raise TypeError(
             f"cannot canonicalize {type(obj).__name__} (no __dict__ and only a "
             "default repr); give it a deterministic __repr__ or state attributes"

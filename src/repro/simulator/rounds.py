@@ -42,10 +42,8 @@ quiescence are simply always active, so unported algorithms keep their dense
 semantics.
 
 The loop reaches the nodes through exactly two calls per round -- react and
-compose, then deliver and report ``(consistent, quiescent)`` -- which run in
-process here and in shard worker processes under
-:class:`~repro.simulator.parallel.ShardedRoundEngine`; the schedule,
-routing, verdicts and telemetry are this module's for every engine.
+compose, then deliver and report ``(consistent, quiescent)``; the schedule,
+routing, verdicts and telemetry stay in :meth:`RoundEngine.execute_round`.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from __future__ import annotations
 from functools import partial
 from time import perf_counter
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..obs.telemetry import SIZE_BUCKETS, TELEMETRY
 from .bandwidth import BandwidthPolicy
@@ -97,28 +95,6 @@ def _target_error(round_index: int, sender: int, target: int) -> MessageTargetEr
     )
 
 
-#: Each touched node's verdicts, as two lists aligned with the touched list:
-#: ``(consistent, quiescent)``.  Two flat lists of bools rather than a tuple
-#: per node keep the query stage free of per-node allocations (and cheap to
-#: pickle for the shard workers).
-Verdicts = Tuple[List[bool], List[bool]]
-
-
-def report_verdicts(
-    nodes: Mapping[int, NodeAlgorithm], touched: Sequence[int], sparse: bool
-) -> Verdicts:
-    """The :data:`Verdicts` of the nodes of ``touched``.
-
-    Only the sparse policy schedules by quiescence, so only it asks; under
-    the dense policy every node reports ``False`` without being asked.
-    """
-    algos = [nodes[v] for v in touched]
-    consistent = [algo.is_consistent() for algo in algos]
-    if sparse:
-        return consistent, [algo.is_quiescent() for algo in algos]
-    return consistent, [False] * len(algos)
-
-
 class RoundEngine:
     """Executes rounds of the highly dynamic model over a set of node algorithms.
 
@@ -157,27 +133,6 @@ class RoundEngine:
                 f"missing ids {missing[:8]}, unexpected ids {unexpected[:8]}"
             )
         self.nodes: Dict[int, NodeAlgorithm] = dict(nodes)
-        self._init_state(
-            network,
-            bandwidth,
-            metrics,
-            faults,
-            (v for v, algo in self.nodes.items() if not algo.is_quiescent()),
-        )
-        # The batch transport's ported class, or None for per-envelope
-        # messages.  Dense stays the reference and never batches.
-        self._port = batch_port(self.nodes.values()) if self._sparse else None
-        self._buf = SendBuffer()
-
-    def _init_state(
-        self,
-        network: DynamicNetwork,
-        bandwidth: Optional[BandwidthPolicy],
-        metrics: Optional[MetricsCollector],
-        faults,
-        unquiet: Iterable[int],
-    ) -> None:
-        """The schedule's state; ``unquiet`` lists the nodes not quiescent at start."""
         self.network = network
         self.bandwidth = bandwidth if bandwidth is not None else BandwidthPolicy()
         self.metrics = metrics if metrics is not None else MetricsCollector()
@@ -193,11 +148,19 @@ class RoundEngine:
         # Sparse bookkeeping.  Nodes whose algorithm self-reports dirty state:
         # unported algorithms (default is_quiescent() == False) live here
         # permanently, which degrades gracefully to the dense schedule.
-        self._dirty: Set[int] = set(unquiet) if self._sparse else set()
+        self._dirty: Set[int] = (
+            {v for v, algo in self.nodes.items() if not algo.is_quiescent()}
+            if self._sparse
+            else set()
+        )
         # Nodes that emitted at least one non-silent envelope last round.
         self._sent_last_round: Set[int] = set()
         # Nodes touched (hooks ran) in the most recent round.
         self._last_touched: Set[int] = set()
+        # The batch transport's ported class, or None for per-envelope
+        # messages.  Dense stays the reference and never batches.
+        self._port = batch_port(self.nodes.values()) if self._sparse else None
+        self._buf = SendBuffer()
 
     # ------------------------------------------------------------------ #
     # Round execution
@@ -324,8 +287,7 @@ class RoundEngine:
         return record
 
     # ------------------------------------------------------------------ #
-    # The node hooks, run in process (ShardedRoundEngine runs them in its
-    # shard workers instead).
+    # The node hooks
     # ------------------------------------------------------------------ #
     def _react_and_compose(
         self,
@@ -361,15 +323,26 @@ class RoundEngine:
 
     def _deliver_and_report(
         self, round_index: int, touched: Sequence[int], routed: Mapping[int, object]
-    ) -> Verdicts:
-        """Run the stage-3 hooks over ``touched`` and report their verdicts."""
+    ) -> Tuple[List[bool], List[bool]]:
+        """Run the stage-3 hooks over ``touched`` and report their verdicts.
+
+        The verdicts are two bool lists aligned with ``touched``:
+        ``(consistent, quiescent)``; two flat lists rather than a tuple per
+        node keep the query stage free of per-node allocations.  Only the
+        sparse policy schedules by quiescence, so only it asks; under the
+        dense policy every node reports ``False`` without being asked.
+        """
         nodes = self.nodes
         if self._port is not None:
             self._port.columnar_deliver(nodes, round_index, touched, self._buf, routed)
         else:
             for v in touched:
                 nodes[v].on_messages(round_index, routed.get(v, _EMPTY_INBOX))
-        return report_verdicts(nodes, touched, self._sparse)
+        algos = [nodes[v] for v in touched]
+        consistent = [algo.is_consistent() for algo in algos]
+        if self._sparse:
+            return consistent, [algo.is_quiescent() for algo in algos]
+        return consistent, [False] * len(algos)
 
     # ------------------------------------------------------------------ #
     # Transports: each routes what the nodes composed and returns (routed,
@@ -469,17 +442,24 @@ class RoundEngine:
         inbox fills and no consistency verdict can flip, so the remaining
         drain rounds can be batched into their (already-known) outcome.  (An
         *inconsistent* node in this situation has violated the quiescence
-        contract; the drain loops use this property to report that
+        contract; the drain loop uses this property to report that
         immediately instead of spinning.)
         """
         return self._sparse and not self._dirty and not self._sent_last_round
 
-    def run_until_quiet(self, max_rounds: int = 10_000) -> int:
+    def run_until_quiet(
+        self,
+        max_rounds: int = 10_000,
+        *,
+        after_round: Optional[Callable[[], None]] = None,
+    ) -> int:
         """Execute quiet rounds until all nodes are consistent.
 
         Returns the number of quiet rounds executed.  Raises ``RuntimeError``
         if consistency is not reached within ``max_rounds`` (which would
-        indicate a livelock in the algorithm under test).
+        indicate a livelock in the algorithm under test).  ``after_round``
+        runs after every quiet round (the runner's drain hooks its
+        validators here).
 
         Boundary contract (pinned by the test-suite): ``max_rounds`` is an
         inclusive budget.  A system needing exactly ``max_rounds`` quiet
@@ -510,6 +490,8 @@ class RoundEngine:
                 )
             self.execute_quiet_round()
             executed += 1
+            if after_round is not None:
+                after_round()
         return executed
 
 

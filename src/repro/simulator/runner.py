@@ -111,10 +111,10 @@ def drive_engine(
 ) -> int:
     """Drive a round engine against an adversary; returns rounds executed.
 
-    Any :class:`~repro.simulator.rounds.RoundEngine` works, the
-    :class:`~repro.simulator.parallel.ShardedRoundEngine` included.
-    ``after_round`` runs after every executed round, including drain rounds
-    (the runner hooks its validators here).
+    With ``drain``, the adversary's rounds are followed by
+    :meth:`~repro.simulator.rounds.RoundEngine.run_until_quiet` under the
+    ``max_drain_rounds`` budget.  ``after_round`` runs after every executed
+    round, including drain rounds (the runner hooks its validators here).
     """
     if num_rounds is None and not hasattr(adversary, "is_done"):
         raise ValueError("num_rounds is required for open-ended adversaries")
@@ -145,27 +145,7 @@ def drive_engine(
         # protocol re-sending the same lost update could drain forever.
         if engine.faults is not None:
             engine.faults.enter_drain()
-        drained = 0
-        while not engine.all_consistent:
-            # Quiet-round fast-forward (see RoundEngine.drain_fixpoint): when
-            # the engine proves that no further quiet round can change any
-            # node, the remaining drain rounds are batched into the terminal
-            # verdict instead of being executed one by one.
-            if engine.drain_fixpoint:
-                raise RuntimeError(
-                    f"nodes {engine.inconsistent_nodes[:6]} can never become "
-                    f"consistent: the engine reached a quiescent fixpoint after "
-                    f"{drained} drain rounds (no active nodes, no pending "
-                    "changes), so the remaining drain rounds were fast-forwarded"
-                )
-            if drained >= max_drain_rounds:
-                raise RuntimeError(
-                    f"nodes still inconsistent after {max_drain_rounds} drain rounds"
-                )
-            engine.execute_quiet_round()
-            drained += 1
-            if after_round is not None:
-                after_round()
+        engine.run_until_quiet(max_drain_rounds, after_round=after_round)
     return executed
 
 

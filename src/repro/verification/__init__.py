@@ -9,8 +9,8 @@ The reproduction's correctness story has two legs:
   :data:`~repro.verification.checks.CHECKS` registry is shared with the
   experiment-campaign subsystem and the CLI.
 * **Differential runs** (:mod:`repro.verification.differential`) -- executing
-  the same :class:`~repro.experiments.spec.ExperimentSpec` under the dense,
-  sparse and sharded engines and asserting bit-identity of round records,
+  the same :class:`~repro.experiments.spec.ExperimentSpec` under the dense
+  and sparse scheduling policies and asserting bit-identity of round records,
   traces, summary metrics and final node state, with structured
   :class:`~repro.verification.differential.Divergence` reports (first
   divergent round, node, field).
@@ -37,7 +37,6 @@ from .checks import (
 #: registry; deferring the differential import keeps that cycle open.
 _DIFFERENTIAL_EXPORTS = frozenset(
     {
-        "DEFAULT_MODES",
         "CellVerification",
         "DifferentialReport",
         "Divergence",
@@ -65,7 +64,6 @@ __all__ = [
     "CheckOutcome",
     "CheckSession",
     "CellVerification",
-    "DEFAULT_MODES",
     "DifferentialReport",
     "Divergence",
     "FunctionCheck",

@@ -1,20 +1,19 @@
 """Cross-engine differential verification of experiment cells.
 
-The repo ships three round schedulers -- the dense reference policy, the
-activity-proportional sparse policy (which carries ported algorithms on the
-batch transport), and the multi-process sharded engine -- that are required
-to be **bit-identical**: same
+The round loop has two scheduling policies -- the dense reference policy and
+the activity-proportional sparse policy (which carries ported algorithms on
+the batch transport) -- that are required to be **bit-identical**: same
 :class:`~repro.simulator.metrics.RoundRecord` stream, same realized topology
 trace, same summary metrics, and same final per-node state.  This module
 turns that requirement into an executable check:
 
 * :func:`run_differential` executes one
-  :class:`~repro.experiments.spec.ExperimentSpec` under two or more engine
-  modes and compares everything, producing structured
+  :class:`~repro.experiments.spec.ExperimentSpec` under dense, the reference
+  leg, and then under sparse, and compares everything, producing structured
   :class:`Divergence` records (first divergent round, node, field) instead of
   a bare assertion.  The spec's checks (plus, optionally, every applicable
-  registered check) run on the serial reference and their structured
-  failures are folded into the report.
+  registered check) run on the dense leg and their structured failures are
+  folded into the report.
 * :func:`verify_campaign` applies the differential harness to every unique
   cell of a :class:`~repro.experiments.spec.CampaignSpec` (engine axes are
   normalized away first -- verifying the same cell once per engine mode would
@@ -23,8 +22,9 @@ turns that requirement into an executable check:
   checks registry.
 
 Final-state identity uses
-:meth:`~repro.simulator.node.NodeAlgorithm.state_fingerprint` digests, which
-the sharded engine gathers from its workers without shipping node objects.
+:meth:`~repro.simulator.node.NodeAlgorithm.state_fingerprint` digests.  Both
+policies are one loop, so this harness cannot see a fault in the code they
+share; ``tests/exact_outputs.py`` pins the loop's outputs across versions.
 """
 
 from __future__ import annotations
@@ -35,14 +35,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..experiments.registry import ALGORITHMS, build_adversary
 from ..experiments.spec import CampaignSpec, ExperimentSpec
 from ..faults.models import FAULT_NONE, build_fault_plan
-from ..faults.overlay import FaultOverlayAdversary
 from ..obs.telemetry import TELEMETRY
-from ..simulator.bandwidth import BandwidthPolicy
 from ..simulator.metrics import RoundRecord
-from ..simulator.parallel import ShardedRoundEngine
 from ..simulator.rounds import ENGINE_MODES
-from ..simulator.runner import SimulationRunner, drive_engine
-from ..simulator.trace import TopologyTrace, TraceRecordingAdversary
+from ..simulator.runner import SimulationRunner
+from ..simulator.trace import TopologyTrace
 from .checks import (
     CHECKS,
     CheckFailure,
@@ -53,7 +50,6 @@ from .checks import (
 )
 
 __all__ = [
-    "DEFAULT_MODES",
     "Divergence",
     "DifferentialReport",
     "ModeRun",
@@ -62,13 +58,9 @@ __all__ = [
     "normalize_cell",
     "run_differential",
     "run_reference",
-    "run_sharded",
     "cell_summary",
     "verify_campaign",
 ]
-
-#: The engine modes a differential run compares by default.
-DEFAULT_MODES: Tuple[str, ...] = ENGINE_MODES + ("sharded",)
 
 #: RoundRecord fields compared per round, in report order.
 _RECORD_FIELDS = (
@@ -126,7 +118,6 @@ class DifferentialReport:
     """The outcome of one differential run of a spec across engine modes."""
 
     spec: ExperimentSpec
-    modes: Tuple[str, ...]
     divergences: List[Divergence] = field(default_factory=list)
     check_outcomes: Dict[str, CheckOutcome] = field(default_factory=dict)
     summaries: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -148,7 +139,7 @@ class DifferentialReport:
         return self.divergences[0] if self.divergences else None
 
     def describe(self) -> str:
-        lines = [f"cell {self.spec.cell_id} across {'/'.join(self.modes)}:"]
+        lines = [f"cell {self.spec.cell_id} across {'/'.join(ENGINE_MODES)}:"]
         if self.ok:
             lines.append(f"  ok ({len(self.check_outcomes)} checks, no divergence)")
         for div in self.divergences:
@@ -161,7 +152,7 @@ class DifferentialReport:
         return {
             "cell_id": self.spec.cell_id,
             "spec": self.spec.to_dict(),
-            "modes": list(self.modes),
+            "modes": list(ENGINE_MODES),
             "ok": self.ok,
             "divergences": [vars(d) for d in self.divergences],
             "checks": {
@@ -178,16 +169,6 @@ class DifferentialReport:
 # --------------------------------------------------------------------- #
 # Executing one spec under one engine mode
 # --------------------------------------------------------------------- #
-def _build_cell_adversary(spec: ExperimentSpec):
-    return build_adversary(
-        spec.adversary,
-        n=spec.n,
-        rounds=spec.rounds,
-        seed=spec.seed,
-        params=spec.adversary_params,
-    )
-
-
 def run_reference(
     spec: ExperimentSpec,
     *,
@@ -196,7 +177,7 @@ def run_reference(
     record_trace: bool = True,
     adversary=None,
 ):
-    """Run one cell on the serial engine with full introspection.
+    """Run one cell under one scheduling policy with full introspection.
 
     Returns ``(result, outcomes)`` where ``result`` is the
     :class:`~repro.simulator.runner.SimulationResult` (with a recorded trace
@@ -208,12 +189,20 @@ def run_reference(
     one -- e.g. to validate parameters up front -- so the schedule is not
     constructed twice.
     """
+    if adversary is None:
+        adversary = build_adversary(
+            spec.adversary,
+            n=spec.n,
+            rounds=spec.rounds,
+            seed=spec.seed,
+            params=spec.adversary_params,
+        )
     sessions = [CheckSession(CHECKS[name], spec) for name in checks]
     validators = [v for v in (s.validator() for s in sessions) if v is not None]
     runner = SimulationRunner(
         n=spec.n,
         algorithm_factory=ALGORITHMS[spec.algorithm],
-        adversary=adversary if adversary is not None else _build_cell_adversary(spec),
+        adversary=adversary,
         bandwidth_factor=spec.bandwidth_factor,
         strict_bandwidth=spec.strict_bandwidth,
         record_trace=record_trace,
@@ -226,56 +215,6 @@ def run_reference(
     result = runner.run(num_rounds=spec.rounds, drain=spec.drain)
     outcomes = {s.name: s.finish(result) for s in sessions}
     return result, outcomes
-
-
-def run_sharded(
-    spec: ExperimentSpec,
-    *,
-    engine_mode: str = "sparse",
-    record_trace: bool = True,
-    adversary=None,
-) -> ModeRun:
-    """Run one cell on the sharded engine; the counterpart of :func:`run_reference`.
-
-    Builds the cell's fault plan, wraps the adversary in the fault overlay
-    and (with ``record_trace``) in trace recording, drives a
-    :class:`~repro.simulator.parallel.ShardedRoundEngine` of the given
-    scheduling policy, and gathers what the differential harness compares.
-    Campaign cells with ``engine == "sharded"`` run through here too, so the
-    two share one set-up.  ``adversary`` accepts a prebuilt (unconsumed)
-    instance, as in :func:`run_reference`.
-    """
-    plan = build_fault_plan(
-        spec.faults, n=spec.n, seed=spec.seed, params=spec.fault_params
-    )
-    if adversary is None:
-        adversary = _build_cell_adversary(spec)
-    if plan is not None and plan.affects_topology:
-        # Trace recording wraps *outside* the overlay so the recorded trace
-        # is the physical post-fault schedule -- comparable 1:1 with the
-        # serial engines' traces.
-        adversary = FaultOverlayAdversary(adversary, spec.n, plan)
-    if record_trace:
-        adversary = TraceRecordingAdversary(adversary, spec.n)
-    bandwidth = BandwidthPolicy(factor=spec.bandwidth_factor, strict=spec.strict_bandwidth)
-    with ShardedRoundEngine(
-        spec.n,
-        ALGORITHMS[spec.algorithm],
-        num_workers=spec.num_workers,
-        bandwidth=bandwidth,
-        mode=engine_mode,
-        faults=plan,
-    ) as engine:
-        drive_engine(engine, adversary, num_rounds=spec.rounds, drain=spec.drain)
-        fingerprints = engine.state_fingerprints()
-    return ModeRun(
-        mode="sharded",
-        records=list(engine.metrics.rounds),
-        trace=adversary.trace if record_trace else None,
-        fingerprints=fingerprints,
-        edges=engine.network.edges,
-        summary=cell_summary(engine.metrics, bandwidth, engine.network, plan),
-    )
 
 
 def cell_summary(metrics, bandwidth, network, faults) -> Dict[str, float]:
@@ -295,10 +234,6 @@ def cell_summary(metrics, bandwidth, network, faults) -> Dict[str, float]:
 def _run_mode(
     spec: ExperimentSpec, mode: str, checks: Sequence[str]
 ) -> Tuple[ModeRun, Dict[str, CheckOutcome]]:
-    if mode == "sharded":
-        return run_sharded(spec), {}
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown differential mode {mode!r}; choose from {DEFAULT_MODES}")
     result, outcomes = run_reference(spec, engine_mode=mode, checks=checks)
     run = ModeRun(
         mode=mode,
@@ -400,18 +335,15 @@ def _compare(reference: ModeRun, other: ModeRun) -> List[Divergence]:
 def run_differential(
     spec: ExperimentSpec,
     *,
-    modes: Sequence[str] = DEFAULT_MODES,
     checks: Optional[Sequence[str]] = None,
     auto_checks: bool = False,
 ) -> DifferentialReport:
-    """Run ``spec`` under every mode in ``modes`` and compare the runs.
+    """Run ``spec`` under dense and then sparse, and compare the runs.
 
     Args:
-        spec: the cell to verify; its ``engine`` / ``engine_mode`` fields are
-            ignored (the modes argument decides what runs).
-        modes: two or more of ``"dense"``, ``"sparse"`` and ``"sharded"``.
-            The first *serial* mode acts as the reference leg and is the one
-            the checks run on (checks need direct access to node instances).
+        spec: the cell to verify; its ``engine_mode`` field is ignored (both
+            policies run).  Dense is the reference leg and the one the checks
+            run on.
         checks: check names to run; defaults to ``spec.checks``.
         auto_checks: select every applicable registered check instead.
 
@@ -419,11 +351,6 @@ def run_differential(
         The :class:`DifferentialReport` with structured divergences, check
         outcomes and per-mode summaries.
     """
-    modes = tuple(modes)
-    if len(modes) < 2:
-        raise ValueError("differential verification needs at least two modes")
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in {modes}")
     if auto_checks:
         # Result checks grade against fault-free semantics (reliable
         # delivery, no state loss), so auto-selection skips fault cells --
@@ -434,31 +361,24 @@ def run_differential(
         )
     else:
         check_names = tuple(spec.checks if checks is None else checks)
-    serial_modes = [m for m in modes if m in ENGINE_MODES]
-    check_mode = serial_modes[0] if serial_modes else None
 
     runs: Dict[str, ModeRun] = {}
     outcomes: Dict[str, CheckOutcome] = {}
-    for mode in modes:
+    for mode in ("dense", "sparse"):
         with TELEMETRY.span(f"differential.run.{mode}"):
-            run, mode_outcomes = _run_mode(
-                spec, mode, check_names if mode == check_mode else ()
+            runs[mode], mode_outcomes = _run_mode(
+                spec, mode, check_names if mode == "dense" else ()
             )
-        runs[mode] = run
         outcomes.update(mode_outcomes)
 
-    reference = runs[modes[0]]
-    divergences: List[Divergence] = []
     with TELEMETRY.span("differential.compare"):
-        for mode in modes[1:]:
-            divergences.extend(_compare(reference, runs[mode]))
+        divergences = _compare(runs["dense"], runs["sparse"])
     if TELEMETRY.enabled:
         TELEMETRY.count("differential.cells")
         if divergences:
             TELEMETRY.count("differential.divergent_cells")
     return DifferentialReport(
         spec=spec,
-        modes=modes,
         divergences=divergences,
         check_outcomes=outcomes,
         summaries={mode: run.summary for mode, run in runs.items()},
@@ -471,13 +391,13 @@ def run_differential(
 def normalize_cell(spec: ExperimentSpec) -> ExperimentSpec:
     """Strip engine-selection axes from a cell for differential verification.
 
-    The harness decides which engines run, so two campaign cells differing
-    only in ``engine`` / ``engine_mode`` / ``record_trace`` verify as one.
+    The harness runs both scheduling policies, so two campaign cells
+    differing only in ``engine_mode`` / ``record_trace`` verify as one.
     The ``checks`` field is cleared too: the verifier auto-selects every
     applicable registered check.
     """
     data = spec.to_dict()
-    data.update(engine="serial", engine_mode="sparse", record_trace=True, checks=[])
+    data.update(engine_mode="sparse", record_trace=True, checks=[])
     return ExperimentSpec.from_dict(data)
 
 
@@ -499,7 +419,6 @@ class VerificationSummary:
     """The outcome of verifying a whole campaign spec."""
 
     campaign: str
-    modes: Tuple[str, ...]
     cells: List[CellVerification] = field(default_factory=list)
 
     @property
@@ -532,7 +451,7 @@ class VerificationSummary:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "campaign": self.campaign,
-            "modes": list(self.modes),
+            "modes": list(ENGINE_MODES),
             "ok": self.ok,
             "executed_checks": self.executed_checks,
             "skipped_checks": self.skipped_checks,
@@ -545,7 +464,6 @@ class VerificationSummary:
 def verify_campaign(
     campaign: CampaignSpec,
     *,
-    modes: Sequence[str] = DEFAULT_MODES,
     include_coverage: bool = True,
     limit: Optional[int] = None,
     progress: Optional[Callable[[CellVerification, int, int], None]] = None,
@@ -553,12 +471,12 @@ def verify_campaign(
     """Differentially verify every unique cell of a campaign spec.
 
     Cells are normalized (engine axes stripped) and deduplicated first; each
-    unique cell runs under every requested mode with every applicable check.
+    unique cell runs under dense and sparse with every applicable check.
     With ``include_coverage`` (the default), registered checks that no
     campaign cell exercises are afterwards executed on their own coverage
     cells, so the whole checks registry runs on every verify invocation.
     """
-    summary = VerificationSummary(campaign=campaign.name, modes=tuple(modes))
+    summary = VerificationSummary(campaign=campaign.name)
     unique: Dict[str, ExperimentSpec] = {}
     for cell in campaign.expand():
         normalized = normalize_cell(cell)
@@ -594,7 +512,7 @@ def verify_campaign(
     for spec, is_coverage in [(c, False) for c in cells] + [
         (c, True) for c in coverage_cells
     ]:
-        report = run_differential(spec, modes=modes, auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
         cell = CellVerification(spec=spec, report=report, coverage=is_coverage)
         summary.cells.append(cell)
         done += 1

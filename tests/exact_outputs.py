@@ -115,21 +115,29 @@ def compute(mode: str) -> Dict[str, Dict[str, Any]]:
     return {"outputs": outputs, "fingerprints": fingerprints}
 
 
+def _flatten(doc: Dict[str, Any]) -> Dict[Tuple[str, str], Any]:
+    flat = {
+        (name, key): value
+        for name, outputs in doc["outputs"].items()
+        for key, value in outputs.items()
+    }
+    for name, fingerprint in doc["fingerprints"].items():
+        flat[(name, "state_fingerprint")] = fingerprint
+    return flat
+
+
 def first_difference(expected: Dict[str, Any], actual: Dict[str, Any]) -> List[str]:
     """``[cell, field, expected, actual]`` of the first difference, or ``[]``."""
-    for column in ("outputs", "fingerprints"):
-        want, got = expected.get(column, {}), actual.get(column, {})
-        for name in sorted(set(want) | set(got)):
-            if name not in want or name not in got:
-                return [name, column, repr(want.get(name)), repr(got.get(name))]
-            if column == "fingerprints":
-                if want[name] != got[name]:
-                    return [name, "state_fingerprint", want[name], got[name]]
-                continue
-            for key in sorted(set(want[name]) | set(got[name])):
-                if want[name].get(key) != got[name].get(key):
-                    return [name, key, repr(want[name].get(key)), repr(got[name].get(key))]
+    want, got = _flatten(expected), _flatten(actual)
+    for key in sorted(set(want) | set(got)):
+        if want.get(key) != got.get(key):
+            return [*key, repr(want.get(key)), repr(got.get(key))]
     return []
+
+
+def render(doc: Dict[str, Any]) -> str:
+    """The baseline file's exact text for ``doc``."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def main() -> int:
@@ -137,7 +145,7 @@ def main() -> int:
     diff = first_difference(dense, compute("sparse"))
     if diff:
         raise SystemExit("dense and sparse disagree at cell {} field {}: {} vs {}".format(*diff))
-    BASELINE.write_text(json.dumps(dense, indent=2, sort_keys=True) + "\n")
+    BASELINE.write_text(render(dense))
     print(f"wrote {len(CELLS)} cells to {BASELINE}")
     return 0
 

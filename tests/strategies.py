@@ -10,7 +10,7 @@ Used by the property-based tests to generate
   random churn adversary, and small sizes/budgets that keep each example fast.
 
 The spec strategy is what the engine differential property tests (dense vs
-sparse vs sharded, optionally under fault models and telemetry) feed to
+sparse, optionally under fault models and telemetry) feed to
 :func:`repro.verification.run_differential`.
 """
 
@@ -126,7 +126,6 @@ def experiment_specs(
             adversary="scripted",
             n=n,
             adversary_params={"trace": schedule_to_trace(n, rounds)},
-            num_workers=draw(st.integers(min_value=2, max_value=3)),
             **fault_kwargs,
         )
     adversary = draw(st.sampled_from(("churn", "p2p")))
@@ -143,6 +142,5 @@ def experiment_specs(
         rounds=draw(st.integers(min_value=1, max_value=25)),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         adversary_params=params,
-        num_workers=draw(st.integers(min_value=2, max_value=3)),
         **fault_kwargs,
     )

@@ -11,7 +11,7 @@ running any job:
 * every ``repro-dynamic-subgraphs <sub> ...`` names a registered
   subcommand, and its arguments parse with that subcommand's own parser,
   the way its ``*_main`` parses them (shell loop variables expanded over
-  their ``for`` lists); every ``--modes`` list names known engine modes;
+  their ``for`` lists);
 * every heredoc JSON spec (``cat > spec.json <<'EOF'``) passes
   :class:`~repro.experiments.CampaignSpec` validation, cells included;
 * every inline ``python - <<'EOF'`` program compiles.
@@ -33,7 +33,6 @@ import pytest
 from repro import cli
 from repro.cli import SUBCOMMANDS
 from repro.experiments import CampaignSpec
-from repro.verification import DEFAULT_MODES
 
 yaml = pytest.importorskip("yaml")
 
@@ -102,15 +101,10 @@ def argument_problems(args: List[str]) -> List[str]:
     usage = io.StringIO()
     try:
         with contextlib.redirect_stderr(usage):
-            namespace = getattr(build(), parse)(rest)
+            getattr(build(), parse)(rest)
     except SystemExit:
         error = usage.getvalue().strip().splitlines()[-1]
         return [f"arguments {shlex.join(args)!r} do not parse: {error}"]
-    # Split the way verify_main and fuzz_main split their --modes.
-    modes = [part.strip() for part in getattr(namespace, "modes", "").split(",")]
-    unknown = [mode for mode in modes if mode and mode not in DEFAULT_MODES]
-    if unknown:
-        return [f"--modes names unknown engine modes {unknown}"]
     return []
 
 
@@ -202,8 +196,8 @@ class TestWorkflow:
                 id="unquoted-colon-in-step-name",
             ),
             pytest.param(
-                '{"engine_mode": "sparse"},\n',
-                '{"engine_mode": "sparse"},\n                {"engine_mode": "columnar"},\n',
+                '{"engine_mode": "dense"},\n',
+                '{"engine_mode": "dense"},\n                {"engine_mode": "columnar"},\n',
                 "engine_mode must be one of",
                 id="columnar-leg",
             ),
@@ -232,10 +226,11 @@ class TestWorkflow:
                 id="misspelt-flag",
             ),
             pytest.param(
-                "--modes dense,sparse,sharded --require-all-checks",
-                "--modes dense,sparse,shardd --require-all-checks",
-                "--modes names unknown engine modes ['shardd']",
-                id="misspelt-mode",
+                "--require-all-checks",
+                "--modes dense,sparse --require-all-checks",
+                "do not parse: repro-dynamic-subgraphs verify: error: "
+                "unrecognized arguments: --modes dense,sparse",
+                id="removed-modes-flag",
             ),
             pytest.param(
                 "for mode in dense sparse; do",

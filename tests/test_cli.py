@@ -276,12 +276,11 @@ class TestVerifySubcommand:
 
     def test_parser_defaults(self, spec_file):
         args = build_verify_parser().parse_args(["--spec", str(spec_file)])
-        assert args.modes == "dense,sparse,sharded"
         assert not args.no_coverage and not args.require_all_checks
 
     def test_verify_dedupes_engine_axis_and_passes(self, spec_file, capsys):
         code = main(
-            ["verify", "--spec", str(spec_file), "--modes", "dense,sparse", "--no-coverage"]
+            ["verify", "--spec", str(spec_file), "--no-coverage"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -293,7 +292,7 @@ class TestVerifySubcommand:
     def test_require_all_checks_fails_without_coverage(self, spec_file, capsys):
         code = main(
             [
-                "verify", "--spec", str(spec_file), "--modes", "dense,sparse",
+                "verify", "--spec", str(spec_file),
                 "--no-coverage", "--require-all-checks",
             ]
         )
@@ -306,20 +305,16 @@ class TestVerifySubcommand:
         report_path = tmp_path / "report.json"
         code = main(
             [
-                "verify", "--spec", str(spec_file), "--modes", "dense,sparse",
+                "verify", "--spec", str(spec_file),
                 "--no-coverage", "--report", str(report_path),
             ]
         )
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["ok"] is True
+        assert report["modes"] == ["dense", "sparse"]
         assert report["cells"][0]["modes"] == ["dense", "sparse"]
         assert "triangle_oracle" in report["executed_checks"]
-
-    def test_unknown_mode_is_rejected(self, spec_file, capsys):
-        code = main(["verify", "--spec", str(spec_file), "--modes", "dense,turbo"])
-        assert code == 2
-        assert "unknown mode" in capsys.readouterr().err
 
     def test_missing_spec_file(self, tmp_path, capsys):
         code = main(["verify", "--spec", str(tmp_path / "nope.json")])
@@ -419,3 +414,47 @@ class TestSpecFieldTypes:
             argv += ["--out", str(tmp_path / "store")]
         assert main(argv) == 2
         assert "error: rounds must be an integer or null, got '3'" in capsys.readouterr().err
+
+
+class TestRemovedInputs:
+    """Inputs of the removed multi-process engine exit 2 with a clear message."""
+
+    @pytest.mark.parametrize("subcommand", ["campaign", "verify"])
+    @pytest.mark.parametrize(
+        "field,value", [("engine", "sharded"), ("num_workers", 3)]
+    )
+    def test_removed_spec_fields_exit_2(self, subcommand, field, value, tmp_path, capsys):
+        spec = {
+            "name": "removed",
+            "base": {"algorithm": "triangle", "adversary": "churn", "n": 8, "rounds": 3,
+                     field: value},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [subcommand, "--spec", str(path)]
+        if subcommand == "campaign":
+            argv += ["--out", str(tmp_path / "store")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err
+        assert f"got {value!r}: the multi-process engine was removed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--spec", "spec.json", "--modes", "dense,sparse"],
+            ["fuzz", "--modes", "dense,sparse"],
+            ["serve", "--engine", "sharded"],
+        ],
+        ids=["verify-modes", "fuzz-modes", "serve-engine"],
+    )
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        if "--modes" in argv:
+            assert "unrecognized arguments: --modes dense,sparse" in err
+        else:
+            assert "argument --engine: invalid choice: 'sharded'" in err

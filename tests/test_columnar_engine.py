@@ -33,7 +33,7 @@ from repro.simulator import (
 )
 from repro.simulator.columnar import _columnar_port, batch_port
 from repro.simulator.node import NodeAlgorithm
-from repro.verification import DEFAULT_MODES, run_differential
+from repro.verification import run_differential
 
 
 def _fingerprint(result):
@@ -146,8 +146,7 @@ class TestColumnarIdentity:
             seed=5,
             adversary_params=dict(CHURN),
         )
-        assert DEFAULT_MODES == ("dense", "sparse", "sharded")
-        report = run_differential(spec, modes=DEFAULT_MODES, auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
         assert report.ok, report.describe()
 
 
@@ -176,7 +175,7 @@ class TestColumnarFaultIdentity:
             faults=faults,
             fault_params=fault_params,
         )
-        report = run_differential(spec, modes=("dense", "sparse"))
+        report = run_differential(spec)
         assert report.ok, report.describe()
 
 
@@ -359,20 +358,13 @@ class TestEngineConstructionValidation:
             create_engine("sparse", network, nodes)
 
 
-class TestSpecRejectsShardedColumnar:
-    def test_sharded_engine_columnar_mode_rejected(self):
-        """There is no columnar mode any more, sharded or serial."""
-        for engine in ("sharded", "serial"):
-            with pytest.raises(
-                ValueError, match=r"engine_mode must be one of \('dense', 'sparse'\)"
-            ):
-                ExperimentSpec(
-                    algorithm="triangle",
-                    adversary="churn",
-                    n=8,
-                    engine=engine,
-                    engine_mode="columnar",
-                )
+class TestSpecRejectsColumnar:
+    def test_columnar_mode_rejected(self):
+        """There is no columnar mode any more."""
+        with pytest.raises(
+            ValueError, match=r"engine_mode must be one of \('dense', 'sparse'\)"
+        ):
+            ExperimentSpec(algorithm="triangle", adversary="churn", n=8, engine_mode="columnar")
 
 
 class TestSendBuffer:
@@ -427,5 +419,5 @@ class TestFuzzCorpusAcrossAllModes:
         entries = [e for e in store.entries() if e.expect == "pass"]
         assert entries, "committed corpus unexpectedly empty"
         for entry in entries:
-            report = run_differential(entry.spec(), modes=DEFAULT_MODES)
+            report = run_differential(entry.spec())
             assert report.ok, (entry.entry_id, report.describe())

@@ -62,16 +62,6 @@ class TestRunCell:
         _, trace = run_cell(spec)
         assert trace is None
 
-    def test_sharded_engine_matches_serial_metrics(self):
-        base = dict(
-            algorithm="triangle", adversary="churn", n=24, rounds=25,
-            adversary_params=dict(CHURN), drain=False,
-        )
-        serial, _ = run_cell(ExperimentSpec(**base, engine="serial"))
-        sharded, _ = run_cell(ExperimentSpec(**base, engine="sharded", num_workers=2))
-        for key in ("rounds_executed", "total_changes", "total_envelopes", "total_bits"):
-            assert serial[key] == sharded[key], key
-
     def test_execute_cell_captures_errors(self):
         spec = ExperimentSpec(
             algorithm="triangle",
@@ -166,7 +156,7 @@ class TestCampaignRunner:
         assert retry.num_run == 1  # error cells are retried, not skipped
 
     def test_dead_worker_surfaces_missing_cells(self, tmp_path, monkeypatch):
-        """A worker killed mid-shard must not silently drop its cells."""
+        """A worker killed mid-cell must not silently drop its cells."""
         import os
 
         from repro.experiments import ADVERSARIES
@@ -371,19 +361,6 @@ class TestResumeValidation:
         # deterministic: re-running the cell reproduces the same final state
         again, _ = execute_cell(spec)
         assert again["state_fingerprint"] == record["state_fingerprint"]
-
-    def test_sharded_cells_are_fingerprinted_too(self):
-        base = dict(
-            algorithm="triangle", adversary="churn", n=12, rounds=15,
-            adversary_params=dict(CHURN),
-        )
-        serial, _ = execute_cell(ExperimentSpec(**base, engine="serial"))
-        sharded, _ = execute_cell(
-            ExperimentSpec(**base, engine="sharded", num_workers=2)
-        )
-        # engine/num_workers are spec fields, so the ids differ, but the final
-        # node state must be engine-independent: identical fingerprints.
-        assert sharded["state_fingerprint"] == serial["state_fingerprint"]
 
     def test_error_records_have_no_fingerprint(self):
         spec = ExperimentSpec(

@@ -56,12 +56,30 @@ class TestExperimentSpecValidation:
             ExperimentSpec(checks=("magic",))
 
     def test_bad_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            ExperimentSpec(engine="quantum")
+        with pytest.raises(ValueError, match="engine must be 'serial', got 'quantum'"):
+            ExperimentSpec.from_dict({"engine": "quantum"})
 
-    def test_checks_require_serial_engine(self):
-        with pytest.raises(ValueError, match="serial"):
-            ExperimentSpec(engine="sharded", checks=("consistent",))
+    @pytest.mark.parametrize(
+        "field,value",
+        [("engine", "sharded"), ("num_workers", 3), ("num_workers", 2.0), ("engine", None)],
+    )
+    def test_removed_engine_fields_accept_only_their_fixed_value(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*multi-process engine was removed"):
+            ExperimentSpec.from_dict({field: value})
+
+    def test_removed_engine_fields_stay_in_the_canonical_form(self):
+        data = ExperimentSpec().to_dict()
+        assert (data["engine"], data["num_workers"]) == ("serial", 2)
+        assert ExperimentSpec.from_dict(data) == ExperimentSpec()
+
+    def test_removed_engine_as_grid_axis_rejected(self):
+        campaign = CampaignSpec(
+            name="engines",
+            base={"algorithm": "triangle", "adversary": "churn", "rounds": 5},
+            grid={"engine": ["serial", "sharded"]},
+        )
+        with pytest.raises(ValueError, match="engine must be 'serial', got 'sharded'"):
+            campaign.expand()
 
     @pytest.mark.parametrize("factor", [0, -2])
     def test_non_positive_bandwidth_factor_rejected(self, factor):
@@ -92,7 +110,6 @@ class TestExperimentSpecValidation:
             ("n", 8.5, "n must be an integer, got 8.5"),
             ("n", True, "n must be an integer, got True"),
             ("seed", "1", "seed must be an integer"),
-            ("num_workers", 2.0, "num_workers must be an integer"),
             ("adversary_params", [1], "adversary_params must be an object, got [1]"),
             ("fault_params", "p=0.1", "fault_params must be an object"),
             ("checks", "triangle_oracle", "checks must be a list of check names"),
@@ -275,10 +292,6 @@ class TestEngineMode:
         """Cell ids key campaign resume; pin them for the default cell."""
         assert ExperimentSpec(engine_mode="sparse").cell_id == "triangle-churn-n16-s0-b01ee9e158"
         assert ExperimentSpec(engine_mode="dense").cell_id == "triangle-churn-n16-s0-d1c493f8ba"
-        assert (
-            ExperimentSpec(engine="sharded", num_workers=3).cell_id
-            == "triangle-churn-n16-s0-3a2d58eb79"
-        )
 
     def test_engine_mode_round_trips(self):
         spec = ExperimentSpec(engine_mode="dense")

@@ -1,7 +1,7 @@
 """Tests for the fault-injection subsystem: models, plan, overlay, engines.
 
 The acceptance gate of the fault work lives here too: a grid of fault models
-must run bit-identically across the dense, sparse and sharded engines, with
+must run bit-identically under the dense and sparse engines, with
 the fault statistics part of the gated summary.
 """
 
@@ -25,7 +25,7 @@ from repro.faults.models import (
 from repro.faults.overlay import FaultOverlayAdversary
 from repro.verification import run_differential
 
-ALL_MODES = ("dense", "sparse", "sharded")
+ALL_MODES = ("dense", "sparse")
 
 
 class TestRegistry:
@@ -104,7 +104,7 @@ class TestModelDeterminism:
     def test_burst_loss_is_call_order_independent(self):
         # The Gilbert-Elliott chain advances with a lazy cursor, but the state
         # at any round must not depend on the query pattern: the engines ask
-        # in different orders (the sharded workers each ask for their shard).
+        # in different orders (sparse asks only for its active senders).
         forward = GilbertElliottLoss(8, seed=3, p_enter=0.3, p_exit=0.3)
         scattered = GilbertElliottLoss(8, seed=3, p_enter=0.3, p_exit=0.3)
         rounds = list(range(1, 20))
@@ -323,7 +323,7 @@ class TestDifferentialAcceptance:
     }
 
     @pytest.mark.parametrize("faults", sorted(GRID))
-    def test_three_models_by_three_engines(self, faults):
+    def test_three_models_by_both_engines(self, faults):
         spec = ExperimentSpec(
             algorithm="triangle",
             adversary="churn",
@@ -334,7 +334,7 @@ class TestDifferentialAcceptance:
             faults=faults,
             fault_params=dict(self.GRID[faults]),
         )
-        report = run_differential(spec, modes=ALL_MODES)
+        report = run_differential(spec)
         assert report.ok, report.describe()
         summary = report.summaries["dense"]
         assert {k for k in summary if k.startswith("fault_")} == {
@@ -375,7 +375,7 @@ class TestDifferentialAcceptance:
             faults="crash",
             fault_params={"crash_p": 0.7, "cycle": 5, "downtime": 2, "amnesia": True},
         )
-        report = run_differential(spec, modes=ALL_MODES)
+        report = run_differential(spec)
         assert report.ok, report.describe()
         assert report.summaries["dense"]["fault_node_resets"] > 0
 
@@ -392,6 +392,6 @@ class TestDifferentialAcceptance:
             faults="uniform_loss",
             fault_params={"p": 0.5},
         )
-        report = run_differential(spec, modes=("dense", "sparse"), auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
         assert report.ok, report.describe()
         assert not report.executed_checks

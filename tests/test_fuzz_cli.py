@@ -15,7 +15,6 @@ class TestParser:
         assert args.budget == 50
         assert args.seed == 0
         assert not args.shrink and not args.replay
-        assert args.modes == "dense,sparse"
 
     def test_rejects_unknown_profile(self):
         with pytest.raises(SystemExit):
@@ -35,10 +34,6 @@ class TestUsageErrors:
         assert main(["fuzz", "--algorithms", "magic"]) == 2
         assert "unknown algorithms" in capsys.readouterr().err
 
-    def test_unknown_mode(self, capsys):
-        assert main(["fuzz", "--modes", "dense,warp"]) == 2
-        assert "unknown mode" in capsys.readouterr().err
-
     def test_undersized_network(self, capsys):
         assert main(["fuzz", "--nodes", "2", "--budget", "1"]) == 2
         assert "n >= 3" in capsys.readouterr().err
@@ -55,8 +50,7 @@ class TestUsageErrors:
         corpus = Path(__file__).parent / "data" / "fuzz_corpus"
         code = main(
             [
-                "fuzz", "--replay", "--corpus", str(corpus),
-                "--modes", "dense", "--nodes", "2",
+                "fuzz", "--replay", "--corpus", str(corpus), "--nodes", "2",
             ]
         )
         assert code == 0

@@ -8,6 +8,7 @@ import pytest
 from repro.fuzz.corpus import CorpusEntry, CorpusStore
 from repro.fuzz.injected import inject_bug
 from repro.fuzz.signature import FailureSignature
+from repro.obs.sink import read_jsonl
 
 COMMITTED_CORPUS = Path(__file__).parent / "data" / "fuzz_corpus"
 
@@ -36,7 +37,6 @@ def ghost_entry(expect: str = "fail") -> CorpusEntry:
         trace=json.loads(json.dumps(GHOST_TRACE)),
         signature=GHOST_SIGNATURE,
         expect=expect,
-        modes=("dense", "sparse"),
     )
 
 
@@ -47,6 +47,12 @@ class TestCorpusEntry:
         assert clone.entry_id == entry.entry_id
         assert clone.signature == entry.signature
         assert clone.spec().cell_id == entry.spec().cell_id
+
+    def test_older_entries_with_modes_still_load(self):
+        data = ghost_entry().to_dict()
+        assert "modes" not in data
+        clone = CorpusEntry.from_dict({**data, "modes": ["dense", "sparse", "sharded"]})
+        assert clone.to_dict() == data
 
     def test_entry_id_is_content_addressed(self):
         a, b = ghost_entry(), ghost_entry()
@@ -182,11 +188,16 @@ class TestCommittedCorpus:
                 f"{entry.entry_id}: committed reproducers must stay one-screen "
                 f"({entry.num_rounds} rounds)"
             )
-            assert set(entry.modes) == {"dense", "sparse", "sharded"}
 
-    def test_corpus_replays_green_across_all_three_engines(self):
+    def test_committed_entry_ids_are_stable(self):
+        # entry_id is recomputed from the trace, algorithm and fault fields;
+        # it must match the id stored on every committed line.
+        for _, data in read_jsonl(COMMITTED_CORPUS / CorpusStore.CORPUS_FILE):
+            assert CorpusEntry.from_dict(data).entry_id == data["entry_id"]
+
+    def test_corpus_replays_green(self):
         store = CorpusStore(COMMITTED_CORPUS)
-        outcomes = store.replay_all()  # each entry's own modes: all three engines
+        outcomes = store.replay_all()  # dense and sparse
         bad = [o.describe() for o in outcomes if not o.ok]
         assert not bad, "\n".join(bad)
 
@@ -204,7 +215,7 @@ class TestCommittedCorpus:
         # minimized traces replay deterministically on every engine.
         store = CorpusStore(COMMITTED_CORPUS)
         entry = store.entries()[0]
-        first = store.replay(entry, modes=("dense", "sparse"))
-        second = store.replay(entry, modes=("dense", "sparse"))
+        first = store.replay(entry)
+        second = store.replay(entry)
         assert first.observed == second.observed
         assert first.ok and second.ok

@@ -158,6 +158,6 @@ class TestRegistryWiring:
         from repro.verification import run_differential
 
         spec = ExperimentSpec(algorithm="triangle", adversary="fuzz", n=7, rounds=12, seed=2)
-        report = run_differential(spec, modes=("dense", "sparse"), auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
         assert report.ok, report.describe()
         assert report.executed_checks  # the checks registry actually ran

@@ -53,7 +53,7 @@ def first_failing_spec(algorithm: str, base_seed: int, limit: int = 12):
     """
     for i in range(limit):
         spec = failing_fuzz_spec(algorithm, base_seed + i)
-        signature, _ = evaluate_spec(spec, ("dense", "sparse"))
+        signature, _ = evaluate_spec(spec)
         if signature.is_failure:
             return spec, signature
     raise AssertionError(f"no failing schedule within {limit} seeds of {base_seed}")
@@ -189,7 +189,6 @@ class TestShrinkerEndToEnd:
 
         accepted = []
         shrinker = Shrinker(
-            ("dense", "sparse"),
             progress=lambda event, detail: accepted.append((event, detail)),
         )
         result = shrinker.shrink(
@@ -200,7 +199,7 @@ class TestShrinkerEndToEnd:
         assert result.events_after <= 10
         assert result.rounds_after < result.rounds_before
         # the minimized spec still reproduces the original failure class
-        observed, _ = evaluate_spec(result.minimized, ("dense", "sparse"))
+        observed, _ = evaluate_spec(result.minimized)
         assert observed.matches(signature)
         # the verdict cache did real work
         assert result.cache_hits > 0
@@ -229,7 +228,7 @@ class TestShrinkerEndToEnd:
         assert result.rounds_after <= 10
         # the latch bug is node-id independent, so the renaming pass lands
         assert result.n_after < result.n_before
-        observed, _ = evaluate_spec(result.minimized, ("dense", "sparse"))
+        observed, _ = evaluate_spec(result.minimized)
         assert observed.matches(result.signature)
 
     def test_refuses_to_shrink_a_passing_cell(self):

@@ -3,7 +3,7 @@
 The hard constraint of the observability subsystem: with telemetry (and even
 a profiler) enabled, every engine produces bit-identical results -- same
 metrics, same realized traces, same final state fingerprints -- as a plain
-run.  These tests pin that across the dense, sparse and sharded engines, and
+run.  These tests pin that under the dense and sparse engines, and
 cover the campaign-runner plumbing that carries the settings into worker
 processes.
 """
@@ -26,7 +26,6 @@ from repro.obs import TELEMETRY, load_final_snapshot
 ENGINE_CONFIGS = [
     pytest.param({"engine_mode": "dense"}, id="dense"),
     pytest.param({"engine_mode": "sparse"}, id="sparse"),
-    pytest.param({"engine": "sharded", "num_workers": 2}, id="sharded"),
 ]
 
 
@@ -120,33 +119,6 @@ class TestBitIdentity:
     def test_rejects_unknown_profiler(self):
         with pytest.raises(ValueError, match="unknown profiler"):
             execute_cell(_spec(), profile="magic")
-
-
-class TestEngineTelemetryAgrees:
-    """Engine telemetry means the same under every engine: one round loop."""
-
-    def test_sparse_and_sharded_count_the_same_schedule(self, tmp_path):
-        snapshots = {}
-        for name, config in (
-            ("sparse", {"engine_mode": "sparse"}),
-            ("sharded", {"engine": "sharded", "num_workers": 2}),
-        ):
-            spec = _spec(
-                n=24,
-                seed=1,
-                adversary_params={"inserts_per_round": 3, "deletes_per_round": 2},
-                **config,
-            )
-            record, _ = execute_cell(spec, telemetry_dir=tmp_path / name)
-            assert record["status"] == "ok"
-            snapshots[name] = load_final_snapshot(record["telemetry_path"])
-        sparse, sharded = snapshots["sparse"], snapshots["sharded"]
-        for counter in ("engine.rounds", "engine.envelopes", "engine.quiescent_skips"):
-            assert sharded["counters"][counter] == sparse["counters"][counter], counter
-        for name in ("engine.active_set", "engine.touched_set", "engine.inbox_fanout"):
-            ours, theirs = sharded["histograms"][name], sparse["histograms"][name]
-            assert (ours["count"], ours["sum"]) == (theirs["count"], theirs["sum"]), name
-        assert sparse["histograms"]["engine.active_set"]["sum"] > 0
 
 
 def _campaign(**telemetry) -> CampaignSpec:

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the observability merge algebra.
 
 Cross-process collection only works if merging is insensitive to *how* the
-pieces arrive: shard counts, pipe arrival order and coordinator batching all
-vary run to run, yet ``telemetry report`` must not.  So the merge primitives
+pieces arrive: worker counts, pipe arrival order and coordinator batching
+all vary run to run, yet ``telemetry report`` must not.  So the merge primitives
 need real algebraic properties:
 
 * ``Histogram.merge`` is associative and commutative (fixed shared buckets

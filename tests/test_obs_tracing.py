@@ -6,12 +6,10 @@ and stays a plain timer (one attribute check) when it is not.  These tests
 pin the ring-buffer semantics, the JSONL interchange format (including the
 sink-style torn-line tolerance), the Chrome trace-event export, and the
 PR-6 invariant extended to tracing: a traced run is bit-identical to a
-plain run across all four engine modes.
+plain run under both scheduling policies.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -30,7 +28,6 @@ from repro.obs import (
 ENGINE_CONFIGS = [
     pytest.param({"engine_mode": "dense"}, id="dense"),
     pytest.param({"engine_mode": "sparse"}, id="sparse"),
-    pytest.param({"engine": "sharded", "num_workers": 2}, id="sharded"),
 ]
 
 
@@ -53,13 +50,12 @@ class TestTraceBuffer:
         assert event["round"] == 7
         assert event["mode"] == "dense"
 
-    def test_mode_and_worker_default_to_buffer_attributes(self):
-        buffer = _anchored(engine_mode="sparse", worker=2)
+    def test_mode_defaults_to_buffer_attribute(self):
+        buffer = _anchored(engine_mode="sparse")
         buffer.add("a", 0.0, 1.0)
-        buffer.add("b", 0.0, 1.0, mode="sharded", worker=0)
+        buffer.add("b", 0.0, 1.0, mode="dense")
         events = buffer.events()
-        assert (events[0]["mode"], events[0]["worker"]) == ("sparse", 2)
-        assert (events[1]["mode"], events[1]["worker"]) == ("sharded", 0)
+        assert [e["mode"] for e in events] == ["sparse", "dense"]
 
     def test_negative_duration_clamped_to_zero(self):
         buffer = _anchored()
@@ -74,32 +70,6 @@ class TestTraceBuffer:
         assert len(events) == 4
         assert [e["name"] for e in events] == ["e6", "e7", "e8", "e9"]
         assert buffer.dropped == 6
-
-    def test_dict_round_trip_preserves_wall_clock(self):
-        buffer = _anchored(cell_id="cell-a", engine_mode="dense")
-        buffer.add("engine.round", 1.0, 2.0, round_index=3)
-        clone = TraceBuffer.from_dict(json.loads(json.dumps(buffer.to_dict())))
-        assert clone.events() == buffer.events()
-        assert clone.cell_id == "cell-a"
-
-    def test_extend_from_dict_keeps_remote_wall_clock(self):
-        remote = _anchored(worker=1)
-        remote.add("engine.worker.compute", 2.0, 3.0)
-        local = _anchored()
-        local.wall0 = 2000.0  # a different clock frame than the remote
-        absorbed = local.extend_from_dict(remote.to_dict())
-        assert absorbed == 1
-        (event,) = local.events()
-        assert event["ts"] == pytest.approx(1002.0)
-        assert event["worker"] == 1
-
-    def test_extend_accumulates_dropped(self):
-        remote = _anchored(capacity=1)
-        remote.add("a", 0.0, 1.0)
-        remote.add("b", 0.0, 1.0)
-        local = _anchored()
-        local.extend_from_dict(remote.to_dict())
-        assert local.dropped == 1
 
 
 class TestTraceJsonl:
@@ -135,24 +105,23 @@ class TestTraceJsonl:
 
 class TestChromeExport:
     def test_chrome_trace_shape(self):
-        coordinator = _anchored(cell_id="c")
-        coordinator.add("engine.round", 1.0, 2.0, mode="sharded")
-        worker = _anchored(worker=0)
-        worker.add("engine.worker.compute", 1.2, 1.8)
-        doc = chrome_trace(
-            {"c": coordinator.events(), "c-worker": worker.events()}
-        )
+        first = _anchored(cell_id="a")
+        first.add("engine.round", 1.0, 2.0, mode="sparse")
+        second = _anchored(cell_id="b")
+        second.add("engine.compute", 1.2, 1.8)
+        doc = chrome_trace({"a": first.events(), "b": second.events()})
         assert doc["displayTimeUnit"] == "ms"
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert len(complete) == 2
-        assert meta, "expected process/thread metadata events"
+        assert [e["args"]["name"] for e in meta] == ["a", "b"]
         assert all(e["ts"] >= 0 for e in complete)
         assert all(e["dur"] >= 0 for e in complete)
-        # Worker events land on tid worker+1, coordinator events on tid 0.
-        tids = {e["name"]: e["tid"] for e in complete}
-        assert tids["engine.round"] == 0
-        assert tids["engine.worker.compute"] == 1
+        # One pid per source, every slice on tid 0.
+        assert {(e["name"], e["pid"], e["tid"]) for e in complete} == {
+            ("engine.round", 1, 0),
+            ("engine.compute", 2, 0),
+        }
         assert {e["cat"] for e in complete} == {"engine"}
 
     def test_build_chrome_trace_errors_name_the_path(self, tmp_path):
@@ -244,12 +213,12 @@ class TestTracingBitIdentity:
 
     @pytest.mark.parametrize("config", ENGINE_CONFIGS)
     def test_every_engine_emits_the_same_stage_slices(self, config, tmp_path):
-        """One round loop: one coordinator slice per stage span, any engine."""
+        """One round loop: one slice per stage span, either policy."""
         record, _ = execute_cell(
             _spec(**config), telemetry_dir=tmp_path, trace_events=True
         )
         events = read_trace_jsonl(record["trace_events_path"])
-        stages = {e["name"] for e in events if "worker" not in e}
+        stages = {e["name"] for e in events}
         assert stages == {
             "engine.indications", "engine.compute", "engine.route",
             "engine.deliver", "engine.query", "engine.round",

@@ -9,7 +9,7 @@ invariants on every one of them:
   never believes in a triangle that does not exist while it claims consistency;
 * Theorem 6 -- the robust 3-hop structure satisfies its sandwich once drained;
 * the simulator's amortized accounting never exceeds the number of rounds;
-* the dense, sparse and sharded engines produce bit-identical round records,
+* the dense and sparse engines produce bit-identical round records,
   traces, metrics and final node state on arbitrary cells -- with and without
   fault models and telemetry (the differential harness of
   :mod:`repro.verification`), and so does the sparse policy's columnar batch
@@ -148,10 +148,8 @@ class TestEngineDifferentialProperties:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     @given(spec=experiment_specs())
-    def test_dense_sparse_sharded_identical(self, spec):
-        report = run_differential(
-            spec, modes=("dense", "sparse", "sharded"), auto_checks=True
-        )
+    def test_dense_sparse_identical(self, spec):
+        report = run_differential(spec, auto_checks=True)
         assert report.ok, report.describe()
 
     @settings(
@@ -162,7 +160,7 @@ class TestEngineDifferentialProperties:
     @given(spec=experiment_specs(algorithms=PORTED_ALGORITHMS))
     def test_dense_sparse_columnar_identical(self, spec):
         """Ported algorithms only, so the sparse leg rides the columnar transport."""
-        report = run_differential(spec, modes=("dense", "sparse"), auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
         assert report.ok, report.describe()
 
     @settings(
@@ -179,11 +177,10 @@ class TestEngineDifferentialProperties:
         """
         from repro.obs import TELEMETRY
 
-        modes = ("dense", "sparse", "sharded")
         if telemetry:
             TELEMETRY.enable()
         try:
-            report = run_differential(spec, modes=modes)
+            report = run_differential(spec)
         finally:
             if telemetry:
                 TELEMETRY.disable()

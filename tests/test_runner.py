@@ -5,6 +5,7 @@ import pytest
 from repro.adversary import ScriptedAdversary
 from repro.core import RobustTwoHopNode, TriangleMembershipNode
 from repro.simulator import (
+    NodeAlgorithm,
     RoundChanges,
     SimulationRunner,
     TopologyTrace,
@@ -81,6 +82,66 @@ class TestValidators:
         )
         with pytest.raises(AssertionError):
             runner.run()
+
+
+class SettlingNode(NodeAlgorithm):
+    """Inconsistent for exactly ``SETTLE`` quiet rounds after a change."""
+
+    SETTLE = 3
+
+    def __init__(self, node_id, n):
+        super().__init__(node_id, n)
+        self.remaining = 0
+
+    def on_topology_change(self, round_index, inserted, deleted):
+        if inserted or deleted:
+            # +1: this round's own on_messages already counts down once.
+            self.remaining = self.SETTLE + 1
+
+    def compose_messages(self, round_index):
+        return {}
+
+    def on_messages(self, round_index, received):
+        self.remaining = max(0, self.remaining - 1)
+
+    def is_consistent(self):
+        return self.remaining == 0
+
+    def is_quiescent(self):
+        return self.remaining == 0
+
+    def query(self, query):  # pragma: no cover - not used
+        return None
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+class TestDrain:
+    """The drain phase of a run: validators and the ``max_drain_rounds`` budget."""
+
+    def _runner(self, mode, seen):
+        return SimulationRunner(
+            n=4,
+            algorithm_factory=SettlingNode,
+            adversary=ScriptedAdversary.single_batch(insert=[(0, 1)]),
+            validators=[lambda round_index, network, nodes: seen.append(round_index)],
+            engine_mode=mode,
+        )
+
+    def test_validators_run_after_every_drain_round(self, mode):
+        seen = []
+        result = self._runner(mode, seen).run(max_drain_rounds=SettlingNode.SETTLE)
+        # One adversary round, then exactly SETTLE drain rounds, each validated.
+        assert seen == [1, 2, 3, 4]
+        assert [r.round_index for r in result.metrics.rounds] == seen
+
+    def test_max_drain_rounds_is_enforced(self, mode):
+        seen = []
+        runner = self._runner(mode, seen)
+        budget = SettlingNode.SETTLE - 1
+        with pytest.raises(RuntimeError, match=f"still inconsistent after {budget} quiet rounds"):
+            runner.run(max_drain_rounds=budget)
+        assert seen == [1, 2, 3]
+        assert not runner.engine.all_consistent
 
 
 class TestTrace:

@@ -9,7 +9,6 @@ quiescent round costs zero algorithm callbacks.
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.simulator import (
     DynamicNetwork,
     MetricsCollector,
     RoundChanges,
-    ShardedRoundEngine,
     SimulationRunner,
     SparseRoundEngine,
     create_engine,
@@ -232,50 +230,6 @@ class TestQuiescence:
             )
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method required")
-class TestShardedSparse:
-    def test_sharded_sparse_matches_serial_dense(self):
-        reference = None
-        for mode in ("dense", "sparse"):
-            adversary = build_adversary(
-                "churn", n=26, rounds=60, seed=5,
-                params={"inserts_per_round": 2, "deletes_per_round": 1},
-            )
-            with ShardedRoundEngine(
-                26, ALGORITHMS["triangle"], num_workers=3, mode=mode
-            ) as engine:
-                drive_engine(engine, adversary, num_rounds=60)
-                outcome = (
-                    engine.metrics.rounds,
-                    engine.metrics.summary(),
-                    engine.metrics.per_node_inconsistent_rounds,
-                )
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcome == reference
-
-        adversary = build_adversary(
-            "churn", n=26, rounds=60, seed=5,
-            params={"inserts_per_round": 2, "deletes_per_round": 1},
-        )
-        serial = SimulationRunner(
-            n=26,
-            algorithm_factory=ALGORITHMS["triangle"],
-            adversary=adversary,
-            engine_mode="dense",
-        ).run(num_rounds=60)
-        assert (
-            serial.metrics.rounds,
-            serial.metrics.summary(),
-            serial.metrics.per_node_inconsistent_rounds,
-        ) == reference
-
-    def test_sharded_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ShardedRoundEngine(8, ALGORITHMS["triangle"], num_workers=2, mode="turbo")
-
-
 class ContractViolatorNode(NodeAlgorithm):
     """Claims quiescence while inconsistent -- the latch-bug failure class.
 
@@ -347,20 +301,6 @@ class TestQuietRoundFastForward:
                 max_drain_rounds=10_000,
             )
         assert len(engine.metrics.rounds) == 1
-
-    def test_sharded_sparse_engine_fast_forwards_too(self):
-        from repro.adversary import ScriptedAdversary
-
-        with ShardedRoundEngine(
-            6, ContractViolatorNode, num_workers=2, mode="sparse"
-        ) as engine:
-            with pytest.raises(RuntimeError, match="quiescent fixpoint"):
-                drive_engine(
-                    engine, ScriptedAdversary([([(0, 1)], [])]), drain=True,
-                    max_drain_rounds=10_000,
-                )
-            assert len(engine.metrics.rounds) == 1
-            assert engine.drain_fixpoint
 
     def test_fixpoint_does_not_trip_healthy_algorithms(self):
         # A consistent quiescent system exits the drain loop before the

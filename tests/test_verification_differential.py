@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.experiments import CampaignSpec, ExperimentSpec
 from repro.simulator import state_fingerprint
 from repro.verification import (
@@ -49,30 +47,17 @@ class TestStateFingerprint:
 
         assert state_fingerprint(Bag([1, 2, 3])) == state_fingerprint(Bag([3, 1, 2]))
 
-    def test_sharded_fingerprints_match_serial(self):
-        spec = ExperimentSpec(**CHURN_CELL, num_workers=2)
-        serial, _ = run_reference(spec)
-        run, _ = _run_mode(spec, "sharded", ())
-        assert run.fingerprints == {
-            v: algo.state_fingerprint() for v, algo in serial.nodes.items()
-        }
-
 
 class TestRunDifferential:
     def test_ok_across_all_modes(self):
-        spec = ExperimentSpec(**CHURN_CELL, num_workers=2)
+        spec = ExperimentSpec(**CHURN_CELL)
         report = run_differential(spec, auto_checks=True)
         assert report.ok
-        assert report.modes == ("dense", "sparse", "sharded")
         assert "triangle_oracle" in report.executed_checks
-        assert set(report.summaries) == {"dense", "sparse", "sharded"}
-        # The report serializes cleanly for --report files.
-        json.dumps(report.to_dict())
-
-    def test_needs_two_modes(self):
-        spec = ExperimentSpec(**CHURN_CELL)
-        with pytest.raises(ValueError, match="at least two modes"):
-            run_differential(spec, modes=("sparse",))
+        assert set(report.summaries) == {"dense", "sparse"}
+        # The report serializes cleanly for --report files, and keeps its
+        # modes field for existing readers.
+        assert json.loads(json.dumps(report.to_dict()))["modes"] == ["dense", "sparse"]
 
     def test_divergences_are_structured(self):
         # Two different seeds produce genuinely different runs; comparing them
@@ -101,7 +86,7 @@ class TestRunDifferential:
             n=9,
             strict_bandwidth=False,
         )
-        report = run_differential(spec, modes=("dense", "sparse"), auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
         assert "flicker_ghost" in report.executed_checks
         assert report.check_outcomes["flicker_ghost"].metrics["believes_deleted_edge"] == 1.0
         assert report.ok, report.describe()
@@ -122,15 +107,13 @@ class TestVerifyCampaign:
             base=dict(CHURN_CELL),
             grid={"engine_mode": ["dense", "sparse"]},
         )
-        summary = verify_campaign(
-            campaign, modes=("dense", "sparse"), include_coverage=False
-        )
+        summary = verify_campaign(campaign, include_coverage=False)
         assert len(summary.cells) == 1
         assert summary.ok
 
     def test_coverage_cells_execute_whole_registry(self):
         campaign = CampaignSpec(name="one-cell", base=dict(CHURN_CELL), grid={})
-        summary = verify_campaign(campaign, modes=("dense", "sparse"))
+        summary = verify_campaign(campaign)
         assert summary.ok
         assert summary.executed_checks == sorted(CHECKS)
         assert summary.skipped_checks == []
@@ -143,7 +126,7 @@ class TestVerifyCampaign:
         # The hint-free ablation legitimately misses triangles; auto checks
         # must grade it with triangle_recall, never triangle_oracle.
         spec = ExperimentSpec.from_dict({**CHURN_CELL, "algorithm": "triangle_nohints"})
-        report = run_differential(spec, modes=("dense", "sparse"), auto_checks=True)
+        report = run_differential(spec, auto_checks=True)
         assert report.ok, report.describe()
         assert "triangle_recall" in report.executed_checks
         assert "triangle_oracle" not in report.executed_checks
@@ -166,8 +149,6 @@ class TestVerifyCampaign:
 
     def test_without_coverage_checks_are_reported_skipped(self):
         campaign = CampaignSpec(name="one-cell", base=dict(CHURN_CELL), grid={})
-        summary = verify_campaign(
-            campaign, modes=("dense", "sparse"), include_coverage=False
-        )
+        summary = verify_campaign(campaign, include_coverage=False)
         assert summary.ok
         assert "robust2hop_oracle" in summary.skipped_checks
