@@ -440,6 +440,27 @@ class TestRemovedInputs:
         assert f"got {value!r}: the multi-process engine was removed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand", ["campaign", "verify"])
+    def test_removed_engine_grid_axis_exit_2(self, subcommand, tmp_path, capsys):
+        spec = {
+            "name": "removed-axis",
+            "base": {"algorithm": "triangle", "adversary": "churn", "n": 8, "rounds": 3},
+            "grid": {"engine": ["serial", "sharded"]},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [subcommand, "--spec", str(path)]
+        if subcommand == "campaign":
+            argv += ["--out", str(tmp_path / "store")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (
+            "error: engine must be 'serial', got 'sharded': "
+            "the multi-process engine was removed"
+        ) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "store").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -201,6 +201,21 @@ class TestCommittedCorpus:
         bad = [o.describe() for o in outcomes if not o.ok]
         assert not bad, "\n".join(bad)
 
+    def test_corpus_with_modes_keys_still_replays_green(self, tmp_path):
+        # Corpora written before the engine-mode selector was removed carry a
+        # modes key on every line; they load and replay on dense and sparse.
+        lines = [
+            json.dumps({**data, "modes": ["dense", "sparse", "sharded"]})
+            for _, data in read_jsonl(COMMITTED_CORPUS / CorpusStore.CORPUS_FILE)
+        ]
+        (tmp_path / CorpusStore.CORPUS_FILE).write_text("\n".join(lines) + "\n")
+        store = CorpusStore(tmp_path)
+        assert [e.entry_id for e in store.entries()] == [
+            e.entry_id for e in CorpusStore(COMMITTED_CORPUS).entries()
+        ]
+        bad = [o.describe() for o in store.replay_all() if not o.ok]
+        assert not bad, "\n".join(bad)
+
     def test_corpus_carries_a_fault_reproducer(self):
         # The fault work's satellite: at least one committed reproducer runs
         # under a fault plan, so the fault machinery itself stays inside the

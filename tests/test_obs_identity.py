@@ -121,6 +121,37 @@ class TestBitIdentity:
             execute_cell(_spec(), profile="magic")
 
 
+class TestEngineTelemetryAgrees:
+    """Engine telemetry means the same under either policy: one round loop."""
+
+    def test_dense_and_sparse_count_the_same_rounds_and_envelopes(self, tmp_path):
+        n = 24
+        snapshots = {}
+        for mode in ("dense", "sparse"):
+            spec = _spec(
+                n=n,
+                seed=1,
+                adversary_params={"inserts_per_round": 3, "deletes_per_round": 2},
+                engine_mode=mode,
+            )
+            record, _ = execute_cell(spec, telemetry_dir=tmp_path / mode)
+            assert record["status"] == "ok"
+            snapshots[mode] = load_final_snapshot(record["telemetry_path"])
+        dense, sparse = snapshots["dense"], snapshots["sparse"]
+        for counter in ("engine.rounds", "engine.envelopes"):
+            assert dense["counters"][counter] == sparse["counters"][counter], counter
+        ours, theirs = (s["histograms"]["engine.inbox_fanout"] for s in (dense, sparse))
+        assert (ours["count"], ours["sum"]) == (theirs["count"], theirs["sum"])
+        # Dense touches every node every round; sparse skips the quiescent
+        # ones, and touched plus skipped accounts for every node-round.
+        node_rounds = n * dense["counters"]["engine.rounds"]
+        assert dense["histograms"]["engine.touched_set"]["sum"] == node_rounds
+        assert dense["counters"]["engine.quiescent_skips"] == 0
+        skipped = sparse["counters"]["engine.quiescent_skips"]
+        assert skipped > 0
+        assert sparse["histograms"]["engine.touched_set"]["sum"] + skipped == node_rounds
+
+
 def _campaign(**telemetry) -> CampaignSpec:
     return CampaignSpec(
         name="obs-identity",

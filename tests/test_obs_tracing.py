@@ -223,3 +223,14 @@ class TestTracingBitIdentity:
             "engine.indications", "engine.compute", "engine.route",
             "engine.deliver", "engine.query", "engine.round",
         }
+
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    def test_one_round_slice_per_executed_round(self, config, tmp_path):
+        """Adversary and drain rounds alike: one ``engine.round`` slice each."""
+        record, _ = execute_cell(
+            _spec(**config), telemetry_dir=tmp_path, trace_events=True
+        )
+        assert record["trace_events_dropped"] == 0
+        events = read_trace_jsonl(record["trace_events_path"])
+        rounds = [e["round"] for e in events if e["name"] == "engine.round"]
+        assert rounds == list(range(1, int(record["metrics"]["rounds_executed"]) + 1))

@@ -218,6 +218,32 @@ class TestRunUntilQuietBoundary:
         assert engine.all_consistent
 
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_after_round_runs_once_per_quiet_round(self, mode):
+        engine = self.make(mode)
+        seen = []
+        quiet = engine.run_until_quiet(
+            max_rounds=10, after_round=lambda: seen.append(engine.metrics.rounds_executed)
+        )
+        assert quiet == CountdownNode.settle
+        assert seen == [2, 3, 4]
+        # Already consistent: no round runs, so the callback does not either.
+        assert engine.run_until_quiet(max_rounds=10, after_round=lambda: seen.append(0)) == 0
+        assert seen == [2, 3, 4]
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_after_round_failure_stops_the_loop(self, mode):
+        engine = self.make(mode)
+
+        def fail_on_second_round():
+            if engine.metrics.rounds_executed == 3:
+                raise AssertionError("validator tripped")
+
+        with pytest.raises(AssertionError, match="validator tripped"):
+            engine.run_until_quiet(max_rounds=10, after_round=fail_on_second_round)
+        assert engine.metrics.rounds_executed == 3
+        assert not engine.all_consistent
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
     def test_no_rounds_executed_is_vacuously_quiet(self, mode):
         from repro.simulator import create_engine
 

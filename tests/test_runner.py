@@ -4,7 +4,11 @@ import pytest
 
 from repro.adversary import ScriptedAdversary
 from repro.core import RobustTwoHopNode, TriangleMembershipNode
+from repro.faults import FaultPlan, UniformLoss
 from repro.simulator import (
+    EdgeEventMessage,
+    EdgeOp,
+    Envelope,
     NodeAlgorithm,
     RoundChanges,
     SimulationRunner,
@@ -114,6 +118,30 @@ class SettlingNode(NodeAlgorithm):
         return None
 
 
+class ChattySettlingNode(SettlingNode):
+    """A :class:`SettlingNode` that messages every neighbor while it settles."""
+
+    def __init__(self, node_id, n):
+        super().__init__(node_id, n)
+        self.neighbors = set()
+
+    def on_topology_change(self, round_index, inserted, deleted):
+        super().on_topology_change(round_index, inserted, deleted)
+        self.neighbors.update(inserted)
+        self.neighbors.difference_update(deleted)
+
+    def compose_messages(self, round_index):
+        if not self.remaining:
+            return {}
+        return {
+            u: Envelope(
+                payload=EdgeEventMessage(tuple(sorted((self.node_id, u))), EdgeOp.INSERT),
+                is_empty=False,
+            )
+            for u in self.neighbors
+        }
+
+
 @pytest.mark.parametrize("mode", ["dense", "sparse"])
 class TestDrain:
     """The drain phase of a run: validators and the ``max_drain_rounds`` budget."""
@@ -142,6 +170,27 @@ class TestDrain:
             runner.run(max_drain_rounds=budget)
         assert seen == [1, 2, 3]
         assert not runner.engine.all_consistent
+
+    def test_message_loss_stops_before_the_first_drain_round(self, mode):
+        plan = FaultPlan(UniformLoss(4, seed=0, p=1.0))
+        dropped = []
+        runner = SimulationRunner(
+            n=4,
+            algorithm_factory=ChattySettlingNode,
+            adversary=ScriptedAdversary.single_batch(insert=[(0, 1)]),
+            validators=[
+                lambda round_index, network, nodes: dropped.append(
+                    plan.stats["fault_messages_dropped"]
+                )
+            ],
+            engine_mode=mode,
+            faults=plan,
+        )
+        runner.run(max_drain_rounds=SettlingNode.SETTLE)
+        # Both endpoints' messages are lost in the adversary round; the drain
+        # freezes the loss before its first round, so every later one lands.
+        assert dropped == [2, 2, 2, 2]
+        assert runner.engine.all_consistent
 
 
 class TestTrace:

@@ -213,6 +213,27 @@ class TestQuiescence:
         assert all(nodes[v].callbacks == 0 for v in range(n) if v > 1)
         assert nodes[0].callbacks > 0 and nodes[1].callbacks > 0
 
+    def test_only_the_sparse_policy_asks_for_quiescence(self):
+        """Dense schedules every node, so its query stage never asks."""
+
+        def asks(mode):
+            asked = [0]
+
+            class AskCountingTriangle(ALGORITHMS["triangle"]):
+                def is_quiescent(self):
+                    asked[0] += 1
+                    return super().is_quiescent()
+
+            n = 12
+            nodes = {v: AskCountingTriangle(v, n) for v in range(n)}
+            engine = create_engine(mode, DynamicNetwork(n), nodes)
+            engine.execute_round(RoundChanges.inserts([(0, 1), (1, 2), (0, 2)]))
+            engine.run_until_quiet()
+            return asked[0]
+
+        assert asks("dense") == 0
+        assert asks("sparse") > 0
+
     def test_create_engine_rejects_unknown_mode(self):
         network = DynamicNetwork(2)
         nodes = {v: ALGORITHMS["null"](v, 2) for v in range(2)}

@@ -47,6 +47,14 @@ class TestStateFingerprint:
 
         assert state_fingerprint(Bag([1, 2, 3])) == state_fingerprint(Bag([3, 1, 2]))
 
+    def test_sparse_fingerprints_match_dense(self):
+        spec = ExperimentSpec(**CHURN_CELL)
+        dense, _ = run_reference(spec, engine_mode="dense")
+        run, _ = _run_mode(spec, "sparse", ())
+        assert run.fingerprints == {
+            v: algo.state_fingerprint() for v, algo in dense.nodes.items()
+        }
+
 
 class TestRunDifferential:
     def test_ok_across_all_modes(self):
