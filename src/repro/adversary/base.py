@@ -10,6 +10,8 @@ this package are assembled from:
   quiet round) and may wait for the algorithm to stabilize between phases,
   which is how the paper's lower-bound constructions are phrased ("wait for
   the algorithm to stabilize").
+* :func:`seeded_rng` -- the seeded random generator of every randomized
+  schedule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,19 @@ from typing import Callable, Generator, Iterator, Optional
 from ..simulator.adversary import Adversary, AdversaryView
 from ..simulator.events import RoundChanges
 
-__all__ = ["ScheduleAdversary", "WAIT_FOR_STABILITY"]
+__all__ = ["ScheduleAdversary", "WAIT_FOR_STABILITY", "seeded_rng"]
+
+
+def seeded_rng(seed: int):
+    """numpy's default generator seeded with ``seed``.
+
+    numpy is imported here, on the first call, so importing :mod:`repro` (and
+    serving a log) never loads it; only a schedule that draws random numbers
+    does.
+    """
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 #: Sentinel a schedule generator can yield to request "emit quiet rounds until

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..simulator.adversary import Adversary, AdversaryView
 from ..simulator.events import RoundChanges, canonical_edge
+from .base import seeded_rng
 
 __all__ = ["BatchInsertAdversary"]
 
@@ -41,7 +40,7 @@ class BatchInsertAdversary(Adversary):
         cls, n: int, num_edges: int, seed: int = 0, quiet_rounds: int = 0
     ) -> "BatchInsertAdversary":
         """A burst of ``num_edges`` distinct random edges on ``n`` nodes."""
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         edges = set()
         max_edges = n * (n - 1) // 2
         target = min(num_edges, max_edges)

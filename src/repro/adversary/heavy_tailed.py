@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..simulator.adversary import Adversary, AdversaryView
 from ..simulator.events import Edge, RoundChanges, canonical_edge
+from .base import seeded_rng
 
 __all__ = ["HeavyTailedChurnAdversary"]
 
@@ -65,7 +64,7 @@ class HeavyTailedChurnAdversary(Adversary):
         self.pareto_shape = pareto_shape
         self.mean_session = mean_session
         self.offline_probability = offline_probability
-        self._rng = np.random.default_rng(seed)
+        self._rng = seeded_rng(seed)
         self._emitted = 0
         #: Remaining online rounds per currently online peer.
         self._online: Dict[int, int] = {}

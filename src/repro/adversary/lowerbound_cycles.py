@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..simulator.events import RoundChanges, canonical_edge
-from .base import WAIT_FOR_STABILITY, ScheduleAdversary
+from .base import WAIT_FOR_STABILITY, ScheduleAdversary, seeded_rng
 
 __all__ = ["CycleLowerBoundAdversary", "choose_parameters"]
 
@@ -104,7 +102,7 @@ class CycleLowerBoundAdversary(ScheduleAdversary):
         self.t = t
         self.D = D
         self.gamma = gamma
-        self._rng = np.random.default_rng(seed)
+        self._rng = seeded_rng(seed)
         self.components: List[Component] = []
         self.connection_events: List[Tuple[int, int]] = []
         block = gamma + D

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..simulator.adversary import Adversary, AdversaryView
 from ..simulator.events import RoundChanges, canonical_edge
+from .base import seeded_rng
 
 __all__ = ["RandomChurnAdversary"]
 
@@ -54,7 +53,7 @@ class RandomChurnAdversary(Adversary):
         self.inserts_per_round = inserts_per_round
         self.deletes_per_round = deletes_per_round
         self.warmup_edges = warmup_edges
-        self._rng = np.random.default_rng(seed)
+        self._rng = seeded_rng(seed)
         self._emitted = 0
 
     # ------------------------------------------------------------------ #

@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..simulator.events import RoundChanges, canonical_edge
-from .base import WAIT_FOR_STABILITY, ScheduleAdversary
+from .base import WAIT_FOR_STABILITY, ScheduleAdversary, seeded_rng
 
 __all__ = ["ThreePathLowerBoundAdversary"]
 
@@ -60,7 +58,7 @@ class ThreePathLowerBoundAdversary(ScheduleAdversary):
             raise ValueError(f"n={n} is too small for the Remark 1 construction")
         self.t = t
         self.D = D
-        self._rng = np.random.default_rng(seed)
+        self._rng = seeded_rng(seed)
         self.components: List[HubComponent] = []
         self.connection_events: List[Tuple[int, int]] = []
         block = 1 + D

@@ -11,6 +11,8 @@ measurements against those shapes:
   against a reference model (``n/log n``, ``sqrt(n)/log n``, constant) and the
   relative residual of that fit.
 * :func:`compare_models` -- which of several models explains the data best.
+
+The two fits import numpy when called, so importing :mod:`repro` does not.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
-
-import numpy as np
 
 __all__ = [
     "MODELS",
@@ -66,6 +66,8 @@ def growth_exponent(sizes: Sequence[float], values: Sequence[float]) -> float:
     """
     if len(sizes) != len(values) or len(sizes) < 2:
         raise ValueError("need at least two (size, value) pairs")
+    import numpy as np
+
     xs = np.log(np.asarray(sizes, dtype=float))
     ys = np.log(np.maximum(np.asarray(values, dtype=float), 1e-12))
     slope, _intercept = np.polyfit(xs, ys, 1)
@@ -82,6 +84,8 @@ def fit_scaled_model(
     """
     if model not in MODELS:
         raise KeyError(f"unknown model {model!r}; choose from {sorted(MODELS)}")
+    import numpy as np
+
     reference = np.asarray([MODELS[model](n) for n in sizes], dtype=float)
     measured = np.asarray(values, dtype=float)
     denom = float(reference @ reference)

@@ -12,7 +12,11 @@
   ``R^{v,2}_i``, ``T^{v,2}_i`` and ``R^{v,3}_i`` from an edge set and true
   insertion times (plus ``*_adj`` variants over a prebuilt adjacency).
 * :mod:`repro.oracle.subgraphs` -- centralized triangle / clique / cycle
-  enumeration (networkx-based).
+  enumeration.  networkx loads only inside :func:`build_graph`, on the first
+  query that builds a graph: ``triangles_containing`` or
+  ``cliques_containing`` at a past round, ``cycles_of_length`` or
+  ``set_is_cycle``.  Current-round triangle and clique queries of
+  :class:`GroundTruthOracle` use the ``*_adj`` variants and never load it.
 """
 
 from .deltas import DeltaLog, RoundDelta

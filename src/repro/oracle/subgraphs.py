@@ -1,19 +1,23 @@
 """Centralized subgraph enumeration used as ground truth by tests and benches.
 
-All functions operate on a plain edge set (canonical tuples) or a
-:class:`networkx.Graph` and enumerate the subgraphs the paper's data
-structures are asked about: triangles, k-cliques, and k-cycles, optionally
-restricted to those containing a given node.
+All functions operate on a plain edge set (canonical tuples) and enumerate
+the subgraphs the paper's data structures are asked about: triangles,
+k-cliques, and k-cycles, optionally restricted to those containing a given
+node.  Most of them build a :class:`networkx.Graph` with :func:`build_graph`,
+which imports networkx on its first call; no other code in the package
+imports it.  The ``*_adj`` variants work off a prebuilt adjacency map and
+never load it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..simulator.events import Edge, canonical_edge
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "build_graph",
@@ -33,6 +37,8 @@ __all__ = [
 
 def build_graph(edges: Iterable[Edge], n: int | None = None) -> nx.Graph:
     """Build a networkx graph from canonical edges (optionally with isolated nodes)."""
+    import networkx as nx
+
     graph = nx.Graph()
     if n is not None:
         graph.add_nodes_from(range(n))

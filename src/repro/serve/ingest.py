@@ -38,17 +38,10 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..simulator.adversary import Adversary, AdversaryView
-from ..simulator.events import (
-    Edge,
-    EdgeDelete,
-    EdgeInsert,
-    RoundChanges,
-    TopologyEvent,
-    canonical_edge,
-)
+from ..simulator.events import Edge, RoundChanges, canonical_edge
 from ..simulator.trace import TopologyTrace
 
 __all__ = [
@@ -164,6 +157,20 @@ _OPS = {
 }
 
 
+def _decode(lines: Iterable[str]) -> Iterator[Tuple[int, dict]]:
+    """``(lineno, record)`` per non-blank JSONL line, decoded as it is reached."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogConversionError(f"line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise LogConversionError(f"line {lineno}: expected a JSON object")
+        yield lineno, record
+
+
 @dataclass
 class ConvertedLog:
     """Result of one :class:`LogConverter` run.
@@ -191,14 +198,25 @@ class LogConverter:
       (records may carry an explicit ``round`` instead); gaps between buckets
       become quiet rounds, preserving the feed's real-time pacing in round
       units (``max_quiet_gap`` clamps pathological gaps).
-    * **coalescing** -- within one round, the *last* event per edge wins
-      (:meth:`RoundChanges.coalesce`), because all changes of a round are
-      simultaneous in the model and a batch may touch each edge at most once.
+    * **coalescing** -- within one round, the *last* event per edge wins, in
+      the slot of its last report (as :meth:`RoundChanges.coalesce` orders
+      them), because all changes of a round are simultaneous in the model
+      and a batch may touch each edge at most once.
     * **de-no-op'ing** -- the converter tracks link state across rounds and
       drops transitions to the state a link is already in (duplicate "up"
       reports, deletes of unknown links), which real feeds are full of.
     * **validation** -- node ids must be integers in ``range(n)``, ``u != v``;
       the first offending record is named with its line number.
+
+    Conversion is one pass over the records.  Each is decoded and validated
+    before the next is read, canonicalized once, and filed into its round's
+    bucket, a dict from edge to direction in which a later report of an edge
+    replaces the earlier one; so what is held per record is at most one
+    bucket entry, never the parsed record.  The buckets are then walked in
+    round order, dropping no-ops against the tracked link state, and each
+    round's insert and delete lists go straight into the trace.  Records may
+    arrive out of round order, so the trace is complete only after the last
+    record is read.
 
     Args:
         n: node-id universe of the served graph.
@@ -235,29 +253,20 @@ class LogConverter:
     # Entry points
     # ------------------------------------------------------------------ #
     def convert_file(self, path: Union[str, Path]) -> ConvertedLog:
-        """Convert a JSONL log file."""
-        return self.convert_lines(Path(path).read_text().splitlines())
+        """Convert a JSONL log file, reading it one line at a time."""
+        with Path(path).open() as lines:
+            return self.convert_lines(lines)
 
     def convert_lines(self, lines: Iterable[str]) -> ConvertedLog:
         """Convert an iterable of JSONL lines (blank lines are skipped)."""
-        records = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogConversionError(f"line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise LogConversionError(f"line {lineno}: expected a JSON object")
-            records.append((lineno, record))
-        return self.convert_records(records)
+        return self.convert_records(_decode(lines))
 
     def convert_records(
         self, records: Iterable[Union[dict, Tuple[int, dict]]]
     ) -> ConvertedLog:
         """Convert already-parsed records (optionally ``(lineno, record)`` pairs)."""
-        parsed: List[Tuple[int, int, TopologyEvent]] = []  # (round, seq, event)
+        buckets: Dict[int, Dict[Edge, bool]] = {}  # round -> edge -> is_up
+        coalesced_dropped = 0
         origin = self.origin_ts
         records_read = 0
         for seq, item in enumerate(records):
@@ -277,56 +286,48 @@ class LogConverter:
                         "(records must be ordered, or pass origin_ts explicitly)"
                     )
                 round_index = int((ts - origin) / self.round_duration)
-            event = EdgeInsert(*edge) if is_up else EdgeDelete(*edge)
-            parsed.append((round_index, seq, event))
+            bucket = buckets.get(round_index)
+            if bucket is None:
+                buckets[round_index] = bucket = {}
+            elif edge in bucket:
+                del bucket[edge]  # re-insert so the edge moves to its last slot
+                coalesced_dropped += 1
+            bucket[edge] = is_up
 
-        # Stable bucket order: by round, then input order within the round.
-        parsed.sort(key=lambda item: (item[0], item[1]))
-
-        batches: List[RoundChanges] = []
         stats = {
             "records_read": records_read,
             "events_emitted": 0,
-            "coalesced_dropped": 0,
+            "coalesced_dropped": coalesced_dropped,
             "noop_dropped": 0,
             "quiet_rounds": 0,
             "clamped_gap_rounds": 0,
         }
+        trace = TopologyTrace(n=self.n)
         present: Set[Edge] = set()
         cursor = 0
-        index = 0
-        while index < len(parsed):
-            round_index = parsed[index][0]
-            bucket: List[TopologyEvent] = []
-            while index < len(parsed) and parsed[index][0] == round_index:
-                bucket.append(parsed[index][2])
-                index += 1
+        for round_index in sorted(buckets):
             gap = round_index - cursor
             if self.max_quiet_gap is not None and gap > self.max_quiet_gap:
                 stats["clamped_gap_rounds"] += gap - self.max_quiet_gap
                 gap = self.max_quiet_gap
-            for _ in range(gap):
-                batches.append(RoundChanges.empty())
-                stats["quiet_rounds"] += 1
-            coalesced = RoundChanges.coalesce(bucket)
-            stats["coalesced_dropped"] += len(bucket) - len(coalesced)
-            events: List[TopologyEvent] = []
-            for ev in coalesced:
-                if ev.is_insert == (ev.edge in present):
+            trace.rounds.extend(([], []) for _ in range(gap))
+            stats["quiet_rounds"] += gap
+            inserts: List[Edge] = []
+            deletes: List[Edge] = []
+            for edge, is_up in buckets.pop(round_index).items():
+                if is_up == (edge in present):
                     stats["noop_dropped"] += 1
-                    continue
-                if ev.is_insert:
-                    present.add(ev.edge)
+                elif is_up:
+                    present.add(edge)
+                    inserts.append(edge)
                 else:
-                    present.discard(ev.edge)
-                events.append(ev)
-            stats["events_emitted"] += len(events)
-            batches.append(RoundChanges(events))
+                    present.discard(edge)
+                    deletes.append(edge)
+            stats["events_emitted"] += len(inserts) + len(deletes)
+            trace.rounds.append((inserts, deletes))
             cursor = round_index + 1
-        stats["rounds"] = len(batches)
-        return ConvertedLog(
-            trace=TopologyTrace.from_batches(self.n, batches), stats=stats
-        )
+        stats["rounds"] = trace.num_rounds
+        return ConvertedLog(trace=trace, stats=stats)
 
     # ------------------------------------------------------------------ #
     # Record parsing
@@ -384,9 +385,11 @@ class LogEventSource(TraceEventSource):
     """Ingest an external JSONL link-event log.
 
     The log is normalized eagerly through :class:`LogConverter` at
-    construction, so malformed feeds fail before the first round and the
-    resulting :attr:`trace` is available for replay, recording next to
-    results, or splicing into campaigns.
+    construction, in one pass that reads a file line by line and keeps no
+    parsed record, so malformed feeds fail before the first round, naming
+    their first bad line, and the resulting :attr:`trace` is available for
+    replay, recording next to results, or splicing into campaigns.  The
+    trace's node range is checked once, by :class:`TraceEventSource`.
     """
 
     def __init__(

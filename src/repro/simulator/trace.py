@@ -50,13 +50,9 @@ class TopologyTrace:
     ) -> "TopologyTrace":
         """Build a trace from an ordered sequence of per-round batches.
 
-        This is the normalized-ingest path: external event feeds (see
-        :mod:`repro.serve.ingest`) are converted into canonical
-        :class:`RoundChanges` batches and then frozen into a trace here, so
-        recorded real-world churn replays through the exact machinery every
-        adversary uses.  With ``validate`` (default) the resulting trace is
-        checked against ``range(n)`` immediately, so a feed referencing
-        out-of-range nodes fails at conversion time instead of mid-replay.
+        With ``validate`` (default) the resulting trace is checked against
+        ``range(n)`` immediately, so a schedule referencing out-of-range
+        nodes fails when it is built instead of mid-replay.
         """
         trace = cls(n=n)
         for changes in batches:

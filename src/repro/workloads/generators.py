@@ -13,8 +13,7 @@ import math
 from itertools import combinations
 from typing import List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
+from ..adversary.base import seeded_rng
 from ..adversary.scripted import ScriptedAdversary
 from ..simulator.events import Edge, RoundChanges, canonical_edge
 
@@ -45,7 +44,7 @@ def planted_clique_churn(
     """
     if k > n:
         raise ValueError("k cannot exceed n")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     rounds: List[RoundChanges] = []
     plants: List[frozenset] = []
     present: Set[Edge] = set()
@@ -111,7 +110,7 @@ def planted_cycle_churn(
     """
     if k > n:
         raise ValueError("k cannot exceed n")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     rounds: List[RoundChanges] = []
     plants: List[Tuple[int, ...]] = []
     present: Set[Edge] = set()
@@ -144,7 +143,7 @@ def growing_random_graph(
     n: int, num_edges: int, *, edges_per_round: int = 1, seed: int = 0
 ) -> ScriptedAdversary:
     """Insert ``num_edges`` distinct random edges, ``edges_per_round`` at a time."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     edges: Set[Edge] = set()
     max_edges = n * (n - 1) // 2
     target = min(num_edges, max_edges)

@@ -135,6 +135,32 @@ class TestLogConverter:
             LogConverter(8).convert_lines([_line(0.0, 0, 1, "up"), line])
         assert message in str(exc.value)
 
+    def test_first_bad_line_is_named(self):
+        # A bad op on line 2 comes before the non-JSON line 4.
+        lines = [
+            _line(0.0, 0, 1, "up"),
+            _line(0.5, 1, 2, "flap"),
+            _line(1.0, 2, 3, "up"),
+            "not json",
+        ]
+        with pytest.raises(LogConversionError, match="line 2: 'op'"):
+            LogConverter(8).convert_lines(lines)
+
+    def test_reading_stops_at_the_first_bad_line(self):
+        def feed():
+            yield _line(0.0, 0, 1, "up")
+            yield _line(0.5, 1, 1, "up")
+            raise AssertionError("read past the first bad line")
+
+        with pytest.raises(LogConversionError, match="line 2: self loops"):
+            LogConverter(8).convert_lines(feed())
+
+    def test_file_lines_after_the_last_newline_and_blank_lines(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n" + _line(0.0, 0, 1, "up") + "\n\n  \n" + _line(1.0, 1, 9, "up"))
+        with pytest.raises(LogConversionError, match="line 5: node 9 out of range"):
+            LogConverter(8).convert_file(path)
+
     def test_timestamp_before_origin_rejected(self):
         with pytest.raises(LogConversionError, match="precedes the origin"):
             LogConverter(8).convert_lines([_line(5.0, 0, 1, "up"), _line(1.0, 1, 2, "up")])
