@@ -95,12 +95,19 @@ def _parsed(seed: int):
     return lambda: LogConverter(6, origin_ts=0.0).convert_records(records)
 
 
+def _clamp_boundary():
+    # Gaps of exactly max_quiet_gap quiet rounds, one more, and two more.
+    records = [{"ts": ts, "u": 0, "v": 1 + i % 2, "op": "up"} for i, ts in enumerate((0, 3, 7, 12))]
+    return lambda: LogConverter(4, max_quiet_gap=2).convert_lines(_lines(records))
+
+
 #: Case name -> a call returning a :class:`~repro.serve.ingest.ConvertedLog`.
 CASES: Dict[str, Callable[[], Any]] = {
     "example": lambda: LogConverter(20).convert_file(EXAMPLE),
     **{f"jittered-s{seed}": _jittered(seed) for seed in (1, 2, 3)},
     **{f"rounds-s{seed}": _rounds(seed) for seed in (1, 2)},
     **{f"clamped-s{seed}": _clamped(seed) for seed in (1, 2)},
+    "clamp-boundary": _clamp_boundary(),
     "parsed-s1": _parsed(1),
 }
 
