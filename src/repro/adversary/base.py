@@ -25,12 +25,7 @@ __all__ = ["ScheduleAdversary", "WAIT_FOR_STABILITY", "seeded_rng"]
 
 
 def seeded_rng(seed: int):
-    """numpy's default generator seeded with ``seed``.
-
-    numpy is imported here, on the first call, so importing :mod:`repro` (and
-    serving a log) never loads it; only a schedule that draws random numbers
-    does.
-    """
+    """numpy's default generator for ``seed``; numpy loads on the first call."""
     import numpy as np
 
     return np.random.default_rng(seed)

@@ -208,15 +208,11 @@ class LogConverter:
     * **validation** -- node ids must be integers in ``range(n)``, ``u != v``;
       the first offending record is named with its line number.
 
-    Conversion is one pass over the records.  Each is decoded and validated
-    before the next is read, canonicalized once, and filed into its round's
-    bucket, a dict from edge to direction in which a later report of an edge
-    replaces the earlier one; so what is held per record is at most one
-    bucket entry, never the parsed record.  The buckets are then walked in
-    round order, dropping no-ops against the tracked link state, and each
-    round's insert and delete lists go straight into the trace.  Records may
-    arrive out of round order, so the trace is complete only after the last
-    record is read.
+    Conversion is one pass: each record is decoded and validated before the
+    next is read, canonicalized once, and kept only as an ``edge -> is_up``
+    entry in its round's bucket, where a later report of the edge replaces
+    it.  The buckets are then walked in round order, dropping no-ops, and
+    each round's insert and delete lists go straight into the trace.
 
     Args:
         n: node-id universe of the served graph.

@@ -155,11 +155,20 @@ class TestLogConverter:
         with pytest.raises(LogConversionError, match="line 2: self loops"):
             LogConverter(8).convert_lines(feed())
 
-    def test_file_lines_after_the_last_newline_and_blank_lines(self, tmp_path):
+    def test_file_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text("\n" + _line(0.0, 0, 1, "up") + "\n\n  \n" + _line(1.0, 1, 9, "up"))
         with pytest.raises(LogConversionError, match="line 5: node 9 out of range"):
             LogConverter(8).convert_file(path)
+
+    def test_file_lines_end_only_at_newlines(self, tmp_path):
+        # A raw U+2028 inside a JSON string is valid JSONL; str.splitlines()
+        # would cut the record there.
+        path = tmp_path / "events.jsonl"
+        record = {"ts": 0.0, "u": 0, "v": 1, "op": "up", "note": "a\u2028b"}
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        converted = LogConverter(8).convert_file(path)
+        assert converted.stats["records_read"] == 1
 
     def test_timestamp_before_origin_rejected(self):
         with pytest.raises(LogConversionError, match="precedes the origin"):
