@@ -38,6 +38,17 @@ _CHURN = {
     "adversary_params": {"inserts_per_round": 3, "deletes_per_round": 2},
 }
 
+_SCRIPT = {
+    "n": 8,
+    "rounds": [
+        {"insert": [[1, 0], [2, 1], [0, 2], [4, 3], [5, 4]], "delete": []},
+        {"insert": [[3, 5], [6, 0]], "delete": [[1, 0]]},
+        {"insert": [], "delete": []},
+        {"insert": [[0, 1], [7, 6]], "delete": [[4, 3], [2, 0], [6, 0]]},
+        {"insert": [[0, 7]], "delete": [[5, 3]]},
+    ],
+}
+
 
 def _cells() -> Dict[str, Dict[str, Any]]:
     cells = {f"{name}-churn": {**_CHURN, "algorithm": name} for name in sorted(ALGORITHMS)}
@@ -57,6 +68,30 @@ def _cells() -> Dict[str, Dict[str, Any]]:
             "n": n,
             "seed": 1,
         }
+    # The flickering gadget inside a static background graph (its round 1
+    # carries the background edges), heavy-tailed P2P sessions, and an inline
+    # trace given with unsorted endpoints, a quiet round and mixed batches.
+    cells["triangle-flicker-background"] = {
+        "algorithm": "triangle",
+        "adversary": "flicker",
+        "n": 40,
+        "seed": 1,
+        "adversary_params": {"background_edges": 25},
+    }
+    cells["robust2hop-p2p"] = {
+        "algorithm": "robust2hop",
+        "adversary": "p2p",
+        "n": 16,
+        "rounds": 20,
+        "seed": 1,
+    }
+    cells["triangle-scripted"] = {
+        "algorithm": "triangle",
+        "adversary": "scripted",
+        "n": 8,
+        "seed": 1,
+        "adversary_params": {"trace": _SCRIPT},
+    }
     # One delivery fault, one topology fault, and a crash with amnesia.
     for algorithm, faults, params in (
         ("robust2hop", "uniform_loss", {"p": 0.1}),
