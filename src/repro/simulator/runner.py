@@ -15,7 +15,6 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set
 
 from .adversary import Adversary, AdversaryView
 from .bandwidth import BandwidthPolicy
-from .events import RoundChanges
 from .metrics import MetricsCollector
 from .network import DynamicNetwork
 from .node import AlgorithmFactory, NodeAlgorithm
@@ -274,15 +273,6 @@ class SimulationRunner:
             trace=trace,
             faults=self.faults,
         )
-
-    def step(self, changes: RoundChanges) -> None:
-        """Execute a single externally supplied round (bypassing the adversary).
-
-        Useful for interactive exploration and for tests that drive the
-        engine directly.
-        """
-        self.engine.execute_round(changes)
-        self._run_validators()
 
     # ------------------------------------------------------------------ #
     # Internal helpers
