@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from ..simulator.events import EdgeInsert, RoundChanges, canonical_edge
+from ..simulator.events import Edge, RoundChanges, canonical_edge
 from .base import ScheduleAdversary
 
 __all__ = ["FlickerTriangleAdversary", "flicker_schedule"]
@@ -94,8 +94,8 @@ def flicker_schedule(
     return schedule
 
 
-def _background_inserts(count: int, n: Optional[int], gadget, seed: int):
-    """Random static edges among the non-gadget nodes (round-1 insertions)."""
+def _background_edges(count: int, n: Optional[int], gadget, seed: int) -> List[Edge]:
+    """Random static edges among the non-gadget nodes, sorted."""
     if n is None:
         raise ValueError("background_edges requires the network size n")
     pool = [x for x in range(n) if x not in gadget]
@@ -109,7 +109,7 @@ def _background_inserts(count: int, n: Optional[int], gadget, seed: int):
     while len(edges) < count:
         a, b = rng.sample(pool, 2)
         edges.add(canonical_edge(a, b))
-    return [EdgeInsert(*edge) for edge in sorted(edges)]
+    return sorted(edges)
 
 
 class FlickerTriangleAdversary(ScheduleAdversary):
@@ -147,9 +147,8 @@ class FlickerTriangleAdversary(ScheduleAdversary):
         schedule = flicker_schedule(v, u, w, list(filler_u), list(filler_w))
         if background_edges:
             gadget = {v, u, w, *filler_u, *filler_w}
-            schedule[0].extend(
-                _background_inserts(background_edges, n, gadget, background_seed)
-            )
+            background = _background_edges(background_edges, n, gadget, background_seed)
+            schedule[0] = RoundChanges.inserts(schedule[0].insertions + background)
         schedule.extend(RoundChanges.empty() for _ in range(settle_rounds))
         super().__init__(iter(schedule))
         self.num_scheduled_rounds = len(schedule)

@@ -184,13 +184,11 @@ def _build_scripted(n, rounds, seed, params):
         raise ValueError("scripted adversary needs 'trace_path' or an inline 'trace' dict")
     if params:
         raise ValueError(f"unexpected scripted params: {sorted(params)}")
-    if trace.n > n:
-        raise ValueError(f"trace was recorded for n={trace.n} but the spec has n={n}")
     # TraceReplayAdversary additionally rejects schedules referencing node
     # ids outside the trace's own declared range -- replay is strict, never
     # silently dropping (or smuggling in) changes the recording could not
     # have produced.  The shrinker's node-renaming pass relies on this.
-    return TraceReplayAdversary(trace)
+    return TraceReplayAdversary(trace.check_fits(n))
 
 
 def _build_planted_clique(n, rounds, seed, params):

@@ -199,9 +199,9 @@ class LogConverter:
       become quiet rounds, preserving the feed's real-time pacing in round
       units (``max_quiet_gap`` clamps pathological gaps).
     * **coalescing** -- within one round, the *last* event per edge wins, in
-      the slot of its last report (as :meth:`RoundChanges.coalesce` orders
-      them), because all changes of a round are simultaneous in the model
-      and a batch may touch each edge at most once.
+      the slot of its last report, because all changes of a round are
+      simultaneous in the model and a batch may touch each edge at most
+      once.
     * **de-no-op'ing** -- the converter tracks link state across rounds and
       drops transitions to the state a link is already in (duplicate "up"
       reports, deletes of unknown links), which real feeds are full of.

@@ -9,8 +9,9 @@ local state only (or declare itself inconsistent).
 
 The public surface is:
 
-* :class:`DynamicNetwork`, :class:`RoundChanges`, :class:`EdgeInsert`,
-  :class:`EdgeDelete` -- the ground-truth dynamic graph and its change events.
+* :class:`DynamicNetwork`, :class:`RoundChanges` -- the ground-truth dynamic
+  graph and one round's batch of changes (its canonical inserted and deleted
+  edge lists).
 * :class:`NodeAlgorithm` -- the per-node algorithm interface.
 * :class:`RoundEngine` / :class:`SparseRoundEngine` -- the one round loop
   under its dense and activity-proportional scheduling policies (see also
@@ -27,7 +28,7 @@ The public surface is:
 from .adversary import Adversary, AdversaryView
 from .bandwidth import BandwidthExceededError, BandwidthPolicy, BandwidthViolation
 from .columnar import SendBuffer
-from .events import Edge, EdgeDelete, EdgeInsert, RoundChanges, canonical_edge
+from .events import Edge, RoundChanges, canonical_edge
 from .messages import (
     EdgeDeleteHopMessage,
     EdgeEventMessage,
@@ -73,10 +74,8 @@ __all__ = [
     "DynamicNetwork",
     "ENGINE_MODES",
     "Edge",
-    "EdgeDelete",
     "EdgeDeleteHopMessage",
     "EdgeEventMessage",
-    "EdgeInsert",
     "EdgeOp",
     "Envelope",
     "id_bits",

@@ -1,4 +1,4 @@
-"""Topology-change events for highly dynamic networks.
+"""Topology-change batches for highly dynamic networks.
 
 The model of Censor-Hillel, Kolobov and Schwartzman (SPAA 2021) starts from an
 empty graph on ``n`` nodes and, at the *beginning* of every round, applies an
@@ -6,10 +6,10 @@ arbitrary batch of edge insertions and deletions chosen by an adversary.  The
 nodes incident to a change receive a local indication of that change before
 the communication part of the round starts (Figure 1 of the paper).
 
-This module defines the event vocabulary used throughout the simulator:
+This module defines the change vocabulary used throughout the simulator:
 
-* :class:`EdgeInsert` / :class:`EdgeDelete` -- a single topology change.
-* :class:`RoundChanges` -- the batch of changes applied in one round.
+* :class:`RoundChanges` -- the batch of changes applied in one round, held as
+  its lists of inserted and deleted canonical edges.
 * :func:`canonical_edge` -- the canonical undirected-edge representation used
   everywhere in the code base (a sorted 2-tuple of node identifiers).
 """
@@ -17,16 +17,9 @@ This module defines the event vocabulary used throughout the simulator:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Tuple
 
-__all__ = [
-    "Edge",
-    "canonical_edge",
-    "EdgeInsert",
-    "EdgeDelete",
-    "TopologyEvent",
-    "RoundChanges",
-]
+__all__ = ["Edge", "canonical_edge", "RoundChanges"]
 
 #: Canonical undirected edge type: a sorted pair of node identifiers.
 Edge = Tuple[int, int]
@@ -61,50 +54,15 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class EdgeInsert:
-    """Insertion of the undirected edge ``{u, v}``."""
-
-    u: int
-    v: int
-
-    @property
-    def edge(self) -> Edge:
-        """Canonical edge touched by this event."""
-        return canonical_edge(self.u, self.v)
-
-    @property
-    def is_insert(self) -> bool:
-        return True
-
-    @property
-    def is_delete(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class EdgeDelete:
-    """Deletion of the undirected edge ``{u, v}``."""
-
-    u: int
-    v: int
-
-    @property
-    def edge(self) -> Edge:
-        """Canonical edge touched by this event."""
-        return canonical_edge(self.u, self.v)
-
-    @property
-    def is_insert(self) -> bool:
-        return False
-
-    @property
-    def is_delete(self) -> bool:
-        return True
-
-
-#: Union type of the two concrete topology events.
-TopologyEvent = EdgeInsert | EdgeDelete
+def _canonical_edges(edges: Iterable[Tuple[int, int]]) -> list[Edge]:
+    out: list[Edge] = []
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"an edge is a pair of node ids, got {edge!r}") from None
+        out.append(canonical_edge(u, v))
+    return out
 
 
 @dataclass
@@ -112,27 +70,35 @@ class RoundChanges:
     """The batch of topology changes applied at the beginning of one round.
 
     The adversary of the highly dynamic model may insert and delete an
-    *arbitrary* number of edges per round; a :class:`RoundChanges` instance is
-    simply the ordered collection of those events.  The order inside a batch
-    has no semantic meaning (all changes of a round are simultaneous), but a
-    batch may not contain two events touching the same edge -- the adversary
+    *arbitrary* number of edges per round.  All changes of a round are
+    simultaneous, but a batch may not touch an edge twice -- the adversary
     must pick, for every edge, at most one of "insert" or "delete" per round.
 
+    Construction canonicalizes every edge once (see :func:`canonical_edge`)
+    and rejects a repeated edge, within one list or across the two, so every
+    consumer reads the lists as they are.  Applying a batch
+    (:meth:`~repro.simulator.network.DynamicNetwork.apply_changes`) deletes
+    before it inserts.
+
     Attributes:
-        events: the topology events of the round.
+        insertions: canonical edges inserted in this round.
+        deletions: canonical edges deleted in this round.
     """
 
-    events: list[TopologyEvent] = field(default_factory=list)
+    insertions: list[Edge] = field(default_factory=list)
+    deletions: list[Edge] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen: set[Edge] = set()
-        for ev in self.events:
-            e = ev.edge
-            if e in seen:
-                raise ValueError(
-                    f"round batch contains more than one event for edge {e}"
-                )
-            seen.add(e)
+        self.insertions = _canonical_edges(self.insertions)
+        self.deletions = _canonical_edges(self.deletions)
+        touched = set(self.deletions)
+        touched.update(self.insertions)
+        if len(touched) < len(self):
+            seen: set[Edge] = set()
+            for edge in (*self.deletions, *self.insertions):
+                if edge in seen:
+                    raise ValueError(f"round batch touches edge {edge} more than once")
+                seen.add(edge)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -140,36 +106,17 @@ class RoundChanges:
     @classmethod
     def empty(cls) -> "RoundChanges":
         """A round with no topology changes (a *quiet* round)."""
-        return cls([])
-
-    @classmethod
-    def coalesce(cls, events: Iterable[TopologyEvent]) -> "RoundChanges":
-        """Build a batch from raw events, keeping only the last event per edge.
-
-        External event feeds (recorded link up/down logs, gossip dumps) often
-        report the same link several times inside one round window; the model
-        requires at most one event per edge per round.  This normalizer keeps
-        the *last* event for each edge -- the link's state at the end of the
-        window -- ordering the surviving events by their last occurrence so
-        repeated conversions of the same feed are deterministic.
-        """
-        last: dict[Edge, TopologyEvent] = {}
-        for ev in events:
-            edge = ev.edge  # canonicalizes + validates endpoints
-            if edge in last:
-                del last[edge]  # re-insert so the edge moves to its last slot
-            last[edge] = ev
-        return cls(list(last.values()))
+        return cls()
 
     @classmethod
     def inserts(cls, edges: Iterable[Tuple[int, int]]) -> "RoundChanges":
         """Build a batch consisting only of insertions of ``edges``."""
-        return cls([EdgeInsert(u, v) for (u, v) in edges])
+        return cls(insertions=edges)
 
     @classmethod
     def deletes(cls, edges: Iterable[Tuple[int, int]]) -> "RoundChanges":
         """Build a batch consisting only of deletions of ``edges``."""
-        return cls([EdgeDelete(u, v) for (u, v) in edges])
+        return cls(deletions=edges)
 
     @classmethod
     def of(
@@ -178,40 +125,10 @@ class RoundChanges:
         delete: Iterable[Tuple[int, int]] = (),
     ) -> "RoundChanges":
         """Build a batch with both insertions and deletions."""
-        evs: list[TopologyEvent] = [EdgeDelete(u, v) for (u, v) in delete]
-        evs.extend(EdgeInsert(u, v) for (u, v) in insert)
-        return cls(evs)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def insertions(self) -> list[Edge]:
-        """Canonical edges inserted in this round."""
-        return [ev.edge for ev in self.events if ev.is_insert]
-
-    @property
-    def deletions(self) -> list[Edge]:
-        """Canonical edges deleted in this round."""
-        return [ev.edge for ev in self.events if ev.is_delete]
-
-    def touched_nodes(self) -> set[int]:
-        """All nodes incident to at least one event of the batch."""
-        nodes: set[int] = set()
-        for ev in self.events:
-            nodes.update(ev.edge)
-        return nodes
+        return cls(insertions=insert, deletions=delete)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.insertions) + len(self.deletions)
 
     def __bool__(self) -> bool:
-        return bool(self.events)
-
-    def __iter__(self) -> Iterator[TopologyEvent]:
-        return iter(self.events)
-
-    def extend(self, events: Sequence[TopologyEvent]) -> None:
-        """Append further events, re-validating edge uniqueness."""
-        self.events.extend(events)
-        self.__post_init__()
+        return bool(self.insertions or self.deletions)

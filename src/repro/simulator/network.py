@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Set
 
-from .events import Edge, EdgeDelete, EdgeInsert, RoundChanges, TopologyEvent, canonical_edge
+from .events import Edge, RoundChanges, canonical_edge
 
 __all__ = ["NodeIndication", "DynamicNetwork", "TopologyError"]
 
@@ -200,7 +200,8 @@ class DynamicNetwork:
             round_index: the 1-based index of the round whose start the
                 changes belong to.  Rounds must be applied in strictly
                 increasing order.
-            changes: the batch of events.
+            changes: the round's batch; its deletions are applied before
+                its insertions.
 
         Returns:
             A dict mapping every node touched by at least one change to its
@@ -216,32 +217,40 @@ class DynamicNetwork:
             )
         # Validate the entire batch before mutating anything, so a failed
         # batch leaves the graph untouched.
-        for ev in changes:
-            self._validate_event(ev)
+        for edge in changes.deletions:
+            self._check_edge(edge)
+            if edge not in self._edges:
+                raise TopologyError(f"cannot delete missing edge {edge}")
+        for edge in changes.insertions:
+            self._check_edge(edge)
+            if edge in self._edges:
+                raise TopologyError(f"cannot insert existing edge {edge}")
 
         inserted_by_node: Dict[int, list[int]] = {}
         deleted_by_node: Dict[int, list[int]] = {}
-        if len(changes) > 0:
+        if changes:
             self._edges_snapshot = None
-        for ev in changes:
-            a, b = ev.edge
+        for edge in changes.deletions:
+            a, b = edge
             self._neighbor_snapshots.pop(a, None)
             self._neighbor_snapshots.pop(b, None)
-            if ev.is_insert:
-                self._edges.add(ev.edge)
-                self._adj[a].add(b)
-                self._adj[b].add(a)
-                self._insertion_time[ev.edge] = round_index
-                inserted_by_node.setdefault(a, []).append(b)
-                inserted_by_node.setdefault(b, []).append(a)
-            else:
-                self._edges.discard(ev.edge)
-                self._adj[a].discard(b)
-                self._adj[b].discard(a)
-                self._deletion_time[ev.edge] = round_index
-                deleted_by_node.setdefault(a, []).append(b)
-                deleted_by_node.setdefault(b, []).append(a)
-            self._total_changes += 1
+            self._edges.discard(edge)
+            self._adj[a].discard(b)
+            self._adj[b].discard(a)
+            self._deletion_time[edge] = round_index
+            deleted_by_node.setdefault(a, []).append(b)
+            deleted_by_node.setdefault(b, []).append(a)
+        for edge in changes.insertions:
+            a, b = edge
+            self._neighbor_snapshots.pop(a, None)
+            self._neighbor_snapshots.pop(b, None)
+            self._edges.add(edge)
+            self._adj[a].add(b)
+            self._adj[b].add(a)
+            self._insertion_time[edge] = round_index
+            inserted_by_node.setdefault(a, []).append(b)
+            inserted_by_node.setdefault(b, []).append(a)
+        self._total_changes += len(changes)
 
         self.round_index = round_index
         self._last_changes = changes
@@ -262,15 +271,9 @@ class DynamicNetwork:
         if not (0 <= v < self.n):
             raise TopologyError(f"node {v} outside range(0, {self.n})")
 
-    def _validate_event(self, ev: TopologyEvent) -> None:
-        a, b = ev.edge
-        self._check_node(a)
-        self._check_node(b)
-        exists = ev.edge in self._edges
-        if ev.is_insert and exists:
-            raise TopologyError(f"cannot insert existing edge {ev.edge}")
-        if ev.is_delete and not exists:
-            raise TopologyError(f"cannot delete missing edge {ev.edge}")
+    def _check_edge(self, edge: Edge) -> None:
+        self._check_node(edge[0])
+        self._check_node(edge[1])
 
     # ------------------------------------------------------------------ #
     # Convenience

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .adversary import Adversary, AdversaryView
-from .events import RoundChanges
+from .events import Edge, RoundChanges
 
 __all__ = ["TopologyTrace", "TraceRecordingAdversary", "TraceReplayAdversary"]
 
@@ -37,27 +37,7 @@ class TopologyTrace:
 
     def append(self, changes: RoundChanges) -> None:
         """Record one round's batch."""
-        self.rounds.append(
-            (
-                [tuple(e) for e in changes.insertions],
-                [tuple(e) for e in changes.deletions],
-            )
-        )
-
-    @classmethod
-    def from_batches(
-        cls, n: int, batches: Iterable[RoundChanges], *, validate: bool = True
-    ) -> "TopologyTrace":
-        """Build a trace from an ordered sequence of per-round batches.
-
-        With ``validate`` (default) the resulting trace is checked against
-        ``range(n)`` immediately, so a schedule referencing out-of-range
-        nodes fails when it is built instead of mid-replay.
-        """
-        trace = cls(n=n)
-        for changes in batches:
-            trace.append(changes)
-        return trace.validate_nodes() if validate else trace
+        self.rounds.append((changes.insertions, changes.deletions))
 
     @property
     def num_rounds(self) -> int:
@@ -78,6 +58,16 @@ class TopologyTrace:
             (x for ins, dels in self.rounds for edge in (*ins, *dels) for x in edge),
             default=-1,
         )
+
+    def check_fits(self, n: int) -> "TopologyTrace":
+        """Reject replay on a network smaller than the one the trace declares.
+
+        Returns the trace itself; :meth:`validate_nodes` then holds every
+        edge to the declared range.
+        """
+        if self.n > n:
+            raise ValueError(f"trace was recorded for n={self.n} but the spec has n={n}")
+        return self
 
     def validate_nodes(self, n: Optional[int] = None) -> "TopologyTrace":
         """Reject schedules referencing nodes outside ``range(n)``.
@@ -116,14 +106,39 @@ class TopologyTrace:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "TopologyTrace":
-        trace = cls(n=int(data["n"]))
-        for entry in data["rounds"]:
-            trace.rounds.append(
-                (
-                    [tuple(int(x) for x in e) for e in entry["insert"]],
-                    [tuple(int(x) for x in e) for e in entry["delete"]],
-                )
-            )
+        """Rebuild a trace from its :meth:`to_dict` form, checking every round.
+
+        Trace files, inline ``trace`` specs and fuzz-corpus entries all load
+        through here.  Each round is built as a :class:`RoundChanges` (which
+        canonicalizes its edges and rejects self loops, negative ids,
+        malformed edges and an edge touched twice) and replayed against a
+        running edge set, so a trace that inserts a present edge or deletes
+        an absent one is rejected too.  Raises ``ValueError`` naming the
+        round (1-based) and the edge, before anything is replayed.  Node ids
+        are checked against ``n`` by :meth:`validate_nodes`.
+        """
+        try:
+            trace = cls(n=int(data["n"]))
+            entries = list(data["rounds"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("a trace needs an integer 'n' and a 'rounds' list") from None
+        present: Set[Edge] = set()
+        for index, entry in enumerate(entries, start=1):
+            if not isinstance(entry, dict) or "insert" not in entry or "delete" not in entry:
+                raise ValueError(f"trace round {index} needs an 'insert' and a 'delete' list")
+            try:
+                changes = RoundChanges.of(insert=entry["insert"], delete=entry["delete"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"trace round {index}: {exc}") from None
+            for edge in changes.deletions:
+                if edge not in present:
+                    raise ValueError(f"trace round {index}: cannot delete missing edge {edge}")
+                present.remove(edge)
+            for edge in changes.insertions:
+                if edge in present:
+                    raise ValueError(f"trace round {index}: cannot insert existing edge {edge}")
+                present.add(edge)
+            trace.append(changes)
         return trace
 
     def save(self, path: str | Path) -> None:

@@ -366,6 +366,53 @@ class TestServeSubcommand:
         assert "error: line 2: 'ts' must be a finite number" in capsys.readouterr().err
 
 
+#: One fault per trace file (6 nodes, fault in round 2 unless the file has no
+#: rounds at all) and the error it must exit 2 with.
+_ROUND_1 = {"insert": [[0, 1], [1, 2]], "delete": []}
+MALFORMED_TRACES = {
+    "repeated_edge": (
+        [_ROUND_1, {"insert": [[2, 3], [3, 2]], "delete": []}],
+        "trace round 2: round batch touches edge (2, 3) more than once",
+    ),
+    "self_loop": (
+        [_ROUND_1, {"insert": [[4, 4]], "delete": []}],
+        "trace round 2: self loops are not allowed: (4, 4)",
+    ),
+    "one_element_edge": (
+        [_ROUND_1, {"insert": [[5]], "delete": []}],
+        "trace round 2: an edge is a pair of node ids, got [5]",
+    ),
+    "absent_deletion": (
+        [_ROUND_1, {"insert": [], "delete": [[3, 4]]}],
+        "trace round 2: cannot delete missing edge (3, 4)",
+    ),
+    "no_rounds_key": (None, "a trace needs an integer 'n' and a 'rounds' list"),
+    "round_without_delete": (
+        [_ROUND_1, {"insert": [[3, 4]]}],
+        "trace round 2 needs an 'insert' and a 'delete' list",
+    ),
+}
+
+
+class TestMalformedTraceFiles:
+    """A malformed trace file is a usage error under both replay commands."""
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_TRACES))
+    @pytest.mark.parametrize("command", ["scripted", "serve"])
+    def test_exits_2_naming_the_round(self, command, fault, tmp_path, capsys):
+        rounds, message = MALFORMED_TRACES[fault]
+        data = {"n": 6} if rounds is None else {"n": 6, "rounds": rounds}
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(data))
+        if command == "scripted":
+            argv = ["--adversary", "scripted", "--trace", str(path), "--nodes", "6",
+                    "--algorithm", "triangle"]
+        else:
+            argv = ["serve", "--source", "trace", "--trace", str(path), "--nodes", "6"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestBandwidthFactorValidation:
     """A non-positive factor is a usage error on every entry point: exit 2."""
 

@@ -1,13 +1,10 @@
-"""Unit tests for topology-change events and round batches."""
+"""Unit tests for canonical edges and round batches."""
+
+import json
 
 import pytest
 
-from repro.simulator.events import (
-    EdgeDelete,
-    EdgeInsert,
-    RoundChanges,
-    canonical_edge,
-)
+from repro.simulator.events import RoundChanges, canonical_edge
 
 
 class TestCanonicalEdge:
@@ -26,18 +23,6 @@ class TestCanonicalEdge:
             canonical_edge(2, -7)
 
 
-class TestEvents:
-    def test_insert_properties(self):
-        ev = EdgeInsert(4, 1)
-        assert ev.edge == (1, 4)
-        assert ev.is_insert and not ev.is_delete
-
-    def test_delete_properties(self):
-        ev = EdgeDelete(0, 9)
-        assert ev.edge == (0, 9)
-        assert ev.is_delete and not ev.is_insert
-
-
 class TestRoundChanges:
     def test_empty(self):
         rc = RoundChanges.empty()
@@ -45,39 +30,56 @@ class TestRoundChanges:
         assert not rc
         assert rc.insertions == [] and rc.deletions == []
 
-    def test_of_builder(self):
-        rc = RoundChanges.of(insert=[(1, 2), (3, 4)], delete=[(5, 6)])
-        assert set(rc.insertions) == {(1, 2), (3, 4)}
+    def test_builders_canonicalize(self):
+        rc = RoundChanges.of(insert=[(2, 1), (3, 4)], delete=[(6, 5)])
+        assert rc.insertions == [(1, 2), (3, 4)]
         assert rc.deletions == [(5, 6)]
-        assert len(rc) == 3
-        assert rc.touched_nodes() == {1, 2, 3, 4, 5, 6}
-
-    def test_inserts_and_deletes_builders(self):
         assert RoundChanges.inserts([(2, 1)]).insertions == [(1, 2)]
-        assert RoundChanges.deletes([(2, 1)]).deletions == [(1, 2)]
+        assert RoundChanges.inserts([(2, 1)]).deletions == []
+        assert RoundChanges.deletes([[2, 1]]).deletions == [(1, 2)]
+        assert RoundChanges.deletes([(2, 1)]).insertions == []
 
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
-            RoundChanges.of(insert=[(1, 2)], delete=[(2, 1)])
-        with pytest.raises(ValueError):
+    def test_builders_take_any_iterable(self):
+        rc = RoundChanges.of(insert=((u, u + 1) for u in range(3)), delete=iter([(9, 8)]))
+        assert rc.insertions == [(0, 1), (1, 2), (2, 3)]
+        assert rc.deletions == [(8, 9)]
+
+    def test_len_and_bool(self):
+        rc = RoundChanges.of(insert=[(1, 2), (3, 4)], delete=[(5, 6)])
+        assert len(rc) == 3 and rc
+        assert len(RoundChanges.inserts([(0, 1)])) == 1 and RoundChanges.inserts([(0, 1)])
+        assert len(RoundChanges.deletes([(0, 1)])) == 1 and RoundChanges.deletes([(0, 1)])
+
+    def test_edge_repeated_in_one_list_rejected(self):
+        with pytest.raises(ValueError, match=r"touches edge \(1, 2\) more than once"):
             RoundChanges.inserts([(1, 2), (2, 1)])
+        with pytest.raises(ValueError, match=r"touches edge \(1, 2\) more than once"):
+            RoundChanges.deletes([(1, 2), (3, 4), (1, 2)])
 
-    def test_extend_validates(self):
-        rc = RoundChanges.inserts([(1, 2)])
-        with pytest.raises(ValueError):
-            rc.extend([EdgeDelete(2, 1)])
+    def test_edge_in_both_lists_rejected(self):
+        with pytest.raises(ValueError, match=r"touches edge \(1, 2\) more than once"):
+            RoundChanges.of(insert=[(1, 2)], delete=[(2, 1)])
 
-    def test_iteration_order_preserved(self):
-        rc = RoundChanges.of(insert=[(1, 2)], delete=[(3, 4)])
-        kinds = [ev.is_delete for ev in rc]
-        # Deletions are listed before insertions by the builder.
-        assert kinds == [True, False]
+    def test_self_loops_and_negative_ids_rejected_when_built(self):
+        with pytest.raises(ValueError, match="self loops"):
+            RoundChanges.inserts([(0, 1), (3, 3)])
+        with pytest.raises(ValueError, match="self loops"):
+            RoundChanges.deletes([(4, 4)])
+        with pytest.raises(ValueError, match="non-negative"):
+            RoundChanges.of(delete=[(-1, 2)])
+        with pytest.raises(ValueError, match="non-negative"):
+            RoundChanges.inserts([(2, -7)])
+
+    def test_malformed_edges_rejected_when_built(self):
+        for edge in ([3], (1, 2, 3), 5):
+            with pytest.raises(ValueError, match="an edge is a pair of node ids"):
+                RoundChanges.inserts([edge])
 
 
 class TestNumpyCoercion:
-    """Numpy integers entering the event layer become builtin ints (satellite
-    of the columnar PR: numpy-backed adversaries used to leak ``np.int64``
-    endpoints into traces, breaking JSON serialization and fingerprints)."""
+    """Numpy integers entering a batch become builtin ints, so numpy-backed
+    adversaries cannot leak ``np.int64`` endpoints into traces, where they
+    break JSON serialization and fingerprints."""
 
     def test_canonical_edge_coerces_numpy_ints(self):
         np = pytest.importorskip("numpy")
@@ -85,9 +87,7 @@ class TestNumpyCoercion:
         assert edge == (2, 5)
         assert type(edge[0]) is int and type(edge[1]) is int
 
-    def test_events_built_from_numpy_ints_serialize(self):
-        import json
-
+    def test_batches_built_from_numpy_ints_serialize(self):
         np = pytest.importorskip("numpy")
         rc = RoundChanges.of(
             insert=[(np.int64(1), np.int64(2))], delete=[(np.int32(4), np.int32(3))]

@@ -79,13 +79,23 @@ class TestApplyChanges:
             net.apply_changes(1, RoundChanges.inserts([(0, 2)]))
 
     def test_failed_batch_leaves_graph_untouched(self):
-        net = DynamicNetwork(3)
-        net.apply_changes(1, RoundChanges.inserts([(0, 1)]))
-        with pytest.raises(TopologyError):
+        net = DynamicNetwork(4)
+        first = RoundChanges.inserts([(0, 1), (2, 3)])
+        net.apply_changes(1, first)
+        with pytest.raises(TopologyError, match="cannot delete missing edge"):
             net.apply_changes(2, RoundChanges.of(insert=[(0, 2)], delete=[(1, 2)]))
         # The valid insert in the failed batch must not have been applied.
         assert not net.has_edge(0, 2)
         assert net.round_index == 1
+        # The mirror case: a valid deletion, then an illegal insertion.
+        for illegal in ((3, 2), (3, 4)):
+            with pytest.raises(TopologyError):
+                net.apply_changes(2, RoundChanges.of(insert=[illegal], delete=[(1, 0)]))
+            assert net.edges == frozenset({(0, 1), (2, 3)})
+            assert net.neighbors(0) == frozenset({1})
+            assert net.total_changes == 2
+            assert net.last_changes is first
+            assert net.round_index == 1
 
 
 class TestAccessors:

@@ -14,37 +14,11 @@ from repro.serve import (
 )
 from repro.serve.core import ServingMonitor
 from repro.simulator import RoundChanges
-from repro.simulator.events import EdgeDelete, EdgeInsert
 from repro.simulator.trace import TopologyTrace
 
 
 def _line(ts, u, v, op):
     return json.dumps({"ts": ts, "u": u, "v": v, "op": op})
-
-
-class TestRoundChangesCoalesce:
-    def test_last_event_per_edge_wins(self):
-        batch = RoundChanges.coalesce(
-            [EdgeInsert(0, 1), EdgeInsert(1, 2), EdgeDelete(1, 0), EdgeInsert(0, 1)]
-        )
-        assert batch.insertions == [(1, 2), (0, 1)]
-        assert batch.deletions == []
-
-    def test_empty(self):
-        assert len(RoundChanges.coalesce([])) == 0
-
-
-class TestTraceFromBatches:
-    def test_builds_and_validates(self):
-        trace = TopologyTrace.from_batches(
-            4, [RoundChanges.inserts([(0, 1)]), RoundChanges.empty()]
-        )
-        assert trace.num_rounds == 2
-        assert trace.changes_for(0).insertions == [(0, 1)]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="node 9"):
-            TopologyTrace.from_batches(4, [RoundChanges.inserts([(0, 9)])])
 
 
 class TestLogConverter:
@@ -197,9 +171,9 @@ class TestLogConverter:
 
 class TestEventSources:
     def test_trace_source_replays_and_exhausts(self):
-        trace = TopologyTrace.from_batches(
-            4, [RoundChanges.inserts([(0, 1)]), RoundChanges.deletes([(0, 1)])]
-        )
+        trace = TopologyTrace(n=4)
+        trace.append(RoundChanges.inserts([(0, 1)]))
+        trace.append(RoundChanges.deletes([(0, 1)]))
         source = TraceEventSource(trace)
         monitor = ServingMonitor(4, "robust2hop")
         assert not source.is_done
@@ -209,7 +183,8 @@ class TestEventSources:
         assert source.is_done
 
     def test_trace_source_load(self, tmp_path):
-        trace = TopologyTrace.from_batches(4, [RoundChanges.inserts([(0, 1)])])
+        trace = TopologyTrace(n=4)
+        trace.append(RoundChanges.inserts([(0, 1)]))
         path = tmp_path / "trace.json"
         trace.save(path)
         source = TraceEventSource.load(path)

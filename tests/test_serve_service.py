@@ -165,13 +165,27 @@ class TestServeCLI:
         assert "state_fingerprint" in capsys.readouterr().out
 
     def test_serve_trace_source(self, tmp_path, capsys):
-        trace = TopologyTrace.from_batches(
-            8, [RoundChanges.inserts([(0, 1)]), RoundChanges.empty()]
-        )
+        trace = TopologyTrace(n=8)
+        trace.append(RoundChanges.inserts([(0, 1)]))
+        trace.append(RoundChanges.empty())
         path = tmp_path / "trace.json"
         trace.save(path)
         code = main(["serve", "--source", "trace", "--trace", str(path), "--nodes", "8"])
         assert code == 0
+
+    def test_serve_trace_recorded_for_more_nodes_exits_2(self, tmp_path, capsys):
+        trace = TopologyTrace(n=10)
+        trace.append(RoundChanges.inserts([(7, 8)]))
+        path = tmp_path / "trace.json"
+        trace.save(path)
+        message = "error: trace was recorded for n=10 but the spec has n=6\n"
+        code = main(["serve", "--source", "trace", "--trace", str(path), "--nodes", "6"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        # The same message as a scripted single run of the same file.
+        code = main(["--adversary", "scripted", "--trace", str(path), "--nodes", "6"])
+        assert code == 2
+        assert capsys.readouterr().err == message
 
     def test_serve_usage_errors(self, tmp_path, capsys):
         assert main(["serve", "--source", "trace", "--nodes", "8"]) == 2
