@@ -78,7 +78,7 @@ from .experiments import (
     build_adversary,
 )
 from .obs import DEFAULT_THRESHOLD, LOG_LEVELS, CampaignProgress, configure_logging
-from .simulator import ENGINE_MODES, TopologyTrace
+from .simulator import ENGINE_MODES
 from .verification import CHECKS
 
 __all__ = [
@@ -1165,8 +1165,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         elif args.source == "trace":
             if args.trace is None:
                 raise ValueError("--source trace requires --trace FILE")
-            trace = TopologyTrace.load(args.trace).check_fits(args.nodes)
-            source = TraceEventSource(trace)
+            source = TraceEventSource.load(args.trace)
+            source.trace.check_fits(args.nodes)
         else:
             if args.log is None:
                 raise ValueError("--source log requires --log FILE")
