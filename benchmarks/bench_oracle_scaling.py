@@ -1,26 +1,26 @@
 """E15 -- oracle scaling: naive vs incremental ground truth under per-round checks.
 
-PR 3 made every campaign run a correctness gate, but its oracle was the
-"deliberately centralized and slow" one: a full edge-set copy per observed
-round and a from-scratch recomputation per query, so per-round-checked runs
-pay O(|E|) memory per round and O(n x |E|) query time regardless of how
-little actually changed.  The incremental
-:class:`~repro.oracle.GroundTruthOracle` pays per *change* instead: a delta
-log with periodic keyframes, a live adjacency, and a dirty-region query
-cache.
+Per-round checks put the oracle on every checked run's hot path.  The
+reference :class:`~repro.oracle.NaiveGroundTruthOracle` is deliberately
+centralized and slow: it copies the full edge set at every observed round
+and recomputes every query from scratch, so a per-round-checked run pays
+O(|E|) per round and O(n x |E|) query time however little changed.  The
+incremental :class:`~repro.oracle.GroundTruthOracle` pays per *change*
+instead: a live adjacency and a dirty-region query cache.  Both answer for
+the latest observed round only and keep no history.
 
 This bench drives both oracles over the same realized schedules with an
 identical per-round query battery (robust 2-hop set + triangle list for a
 rotating node sample -- the shape of the per-round checks), asserts that
-**every query answer and every historical reconstruction is identical**
-(the naive-vs-incremental differential; any mismatch fails the run), and
-records wall-clock and memory in ``BENCH_oracle.json``.
+**every query answer is identical** after every round (the
+naive-vs-incremental differential; any mismatch fails the run), and records
+wall-clock in ``BENCH_oracle.json``.
 
 The headline cell is the flickering-triangle gadget embedded in an n=2000
 network carrying static background edges: only ~9 nodes ever churn, so the
 incremental oracle's per-round cost collapses to the gadget while the naive
 oracle keeps paying for the whole graph; the acceptance bar is a >= 10x
-oracle speedup there with delta-log memory bounded by the keyframe interval.
+oracle speedup there.
 
 Run directly (this is also the CI ``oracle-scaling-smoke`` entry point)::
 
@@ -52,9 +52,6 @@ FLICKER_N = 2000
 
 #: Nodes queried per round (same battery for both oracles).
 SAMPLE_SIZE = 32
-
-#: Keyframe interval of the incremental oracle under test.
-KEYFRAME_INTERVAL = 64
 
 ORACLE_KINDS = ("naive", "incremental")
 
@@ -129,7 +126,7 @@ def _label(cell: ExperimentSpec) -> str:
 def _build_oracle(kind: str, n: int):
     if kind == "naive":
         return NaiveGroundTruthOracle(n)
-    return GroundTruthOracle(n, keyframe_interval=KEYFRAME_INTERVAL)
+    return GroundTruthOracle(n)
 
 
 def run_oracle_cell(spec: ExperimentSpec, kind: str) -> Dict:
@@ -137,9 +134,8 @@ def run_oracle_cell(spec: ExperimentSpec, kind: str) -> Dict:
 
     The per-round validator observes the oracle and issues the query battery,
     folding every answer into a per-round digest; two runs of the same
-    workload are query-identical iff their digest streams (and historical
-    probes) are equal.  Only time spent inside the validator is charged to
-    the oracle.
+    workload are query-identical iff their digest streams are equal.  Only
+    time spent inside the validator is charged to the oracle.
     """
     adversary = build_adversary(
         spec.adversary,
@@ -178,30 +174,6 @@ def run_oracle_cell(spec: ExperimentSpec, kind: str) -> Dict:
     wall_start = time.perf_counter()
     runner.run(num_rounds=spec.rounds, drain=spec.drain)
     wall = time.perf_counter() - wall_start
-
-    # Historical probes: reconstructed past states, including keyframe
-    # boundaries, must agree across oracle kinds as well.
-    latest = oracle.latest_round
-    probe_rounds = sorted(
-        {
-            r
-            for r in (
-                0,
-                1,
-                KEYFRAME_INTERVAL - 1,
-                KEYFRAME_INTERVAL,
-                KEYFRAME_INTERVAL + 1,
-                latest // 2,
-                latest - 1,
-                latest,
-            )
-            if 0 <= r <= latest
-        }
-    )
-    history = [
-        (r, hash((oracle.edges_at(r), tuple(sorted(oracle.times_at(r).items())))))
-        for r in probe_rounds
-    ]
     return {
         "kind": kind,
         "rounds_observed": len(digests),
@@ -209,8 +181,6 @@ def run_oracle_cell(spec: ExperimentSpec, kind: str) -> Dict:
         "oracle_s": round(oracle_seconds, 6),
         "wall_s": round(wall, 6),
         "digests": digests,
-        "history": history,
-        "memory": oracle.memory_profile(),
     }
 
 
@@ -230,7 +200,6 @@ def run_scaling(smoke: bool = False) -> Dict:
             per_workload.setdefault(label, {})[kind] = entry
 
     speedups: Dict[str, float] = {}
-    memory_ratio: Dict[str, float] = {}
     mismatches: List[str] = []
     for label, kinds in per_workload.items():
         naive, incremental = kinds["naive"], kinds["incremental"]
@@ -246,28 +215,16 @@ def run_scaling(smoke: bool = False) -> Dict:
                 min(len(naive["digests"]), len(incremental["digests"])) + 1,
             )
             mismatches.append(f"{label}: live queries diverge at observed round {first}")
-        if naive["history"] != incremental["history"]:
-            mismatches.append(f"{label}: historical reconstruction diverges")
         speedups[label] = round(
             naive["oracle_s"] / incremental["oracle_s"], 2
         ) if incremental["oracle_s"] > 0 else float("inf")
-        memory_ratio[label] = round(
-            naive["memory"]["snapshot_edge_entries"]
-            / max(1, incremental["memory"]["snapshot_edge_entries"]),
-            2,
-        )
 
     report = {
         "campaign": campaign.name,
         "smoke": smoke,
         "sample_size": SAMPLE_SIZE,
-        "keyframe_interval": KEYFRAME_INTERVAL,
-        "cells": [
-            {key: value for key, value in row.items() if key not in ("digests", "history")}
-            for row in rows
-        ],
+        "cells": [{key: value for key, value in row.items() if key != "digests"} for row in rows],
         "speedup_naive_over_incremental": speedups,
-        "memory_ratio_naive_over_incremental": memory_ratio,
         "query_identical": not mismatches,
         "mismatches": mismatches,
     }
@@ -284,18 +241,16 @@ def emit_report(report: Dict, out: Path) -> None:
             cell["rounds_observed"],
             cell["queries"],
             round(cell["oracle_s"], 3),
-            cell["memory"]["snapshot_edge_entries"],
         ]
         for cell in report["cells"]
     ]
     emit_table(
         "E15_oracle_scaling",
-        ["workload", "oracle", "rounds", "queries", "oracle s", "stored edge entries"],
+        ["workload", "oracle", "rounds", "queries", "oracle s"],
         table_rows,
         claim="substrate only: per-round checks should pay per change, not per graph",
     )
     print(f"speedups (naive / incremental oracle seconds): {report['speedup_naive_over_incremental']}")
-    print(f"memory ratios (naive / incremental stored entries): {report['memory_ratio_naive_over_incremental']}")
     print(f"report written to {out}")
 
 
@@ -316,11 +271,10 @@ def test_smoke_query_identity(benchmark):
         run_oracle_cell, args=(spec, "incremental"), rounds=1, iterations=1
     )
     assert entry["rounds_observed"] > 0
-    # The actual gate: the incremental oracle's every answer (and historical
-    # reconstruction) must match the from-scratch naive reference.
+    # The actual gate: the incremental oracle's every answer must match the
+    # from-scratch naive reference.
     reference = run_oracle_cell(spec, "naive")
     assert entry["digests"] == reference["digests"]
-    assert entry["history"] == reference["history"]
 
 
 def _emit_table_impl():

@@ -10,9 +10,8 @@ every node, and then:
    answers against a centralized view of the final graph.
 
 The centralized view is the *incremental* ground-truth oracle: observing
-every round costs it O(changes), not O(|E|), and its history lives in a
-delta log instead of one snapshot per round -- the memory line below shows
-the stored-entry count staying proportional to the churn.
+every round costs it O(changes), not O(|E|), and it keeps no history -- only
+the live graph of the latest round, which is all the queries below need.
 
 Run with::
 
@@ -57,10 +56,9 @@ def main() -> None:
           f"{metrics.max_running_amortized_complexity():.3f}")
     print(f"  bandwidth: max message = {result.bandwidth.max_observed_bits} bits, "
           f"budget = {result.bandwidth.budget_bits(n)} bits")
-    memory = oracle.memory_profile()
-    print(f"  oracle history: {memory['num_deltas']} round deltas + "
-          f"{memory['num_keyframes']} keyframes "
-          f"({memory['snapshot_edge_entries']} stored edge entries)")
+    snapshot = oracle.snapshot()
+    print(f"  oracle view              : round {snapshot.round_index}, "
+          f"{len(snapshot.edges)} live edges")
 
     # Query a few nodes about the triangles they belong to.
     print("\ntriangle membership queries (node vs. centralized ground truth):")

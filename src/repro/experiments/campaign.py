@@ -30,7 +30,6 @@ import hashlib
 import json
 import logging
 import multiprocessing as mp
-import threading
 import time
 import traceback
 import warnings
@@ -221,41 +220,23 @@ def execute_cell(
     return record, (trace.to_dict() if trace is not None else None)
 
 
-def _heartbeat_loop(conn, lock, cell_id: str, interval_s: float, stop) -> None:
-    """Worker-side liveness beacon: ``("hb", cell_id, ts)`` while a cell runs.
-
-    Runs on a daemon thread so a cell stalled in pure-Python code still
-    beats; a coordinator watching the pipe can therefore tell a *slow* cell
-    (beating, let the timeout decide) from a *dead* worker (pipe closed).
-    """
-    while not stop.wait(interval_s):
-        try:
-            with lock:
-                conn.send(("hb", cell_id, time.time()))
-        except OSError:  # coordinator went away; the worker is about to exit
-            return
-
-
-def _campaign_worker(
-    conn,
-    obs: Optional[Mapping[str, Any]] = None,
-    heartbeat_interval_s: Optional[float] = None,
-) -> None:
+def _campaign_worker(conn, obs: Optional[Mapping[str, Any]] = None) -> None:
     """Worker process: run cells streamed over the pipe, one at a time.
 
     The coordinator sends ``("run", spec_dict)`` messages and finally
     ``("stop",)``; the worker answers each cell with ``("start", cell_id,
-    None)`` (so live progress can show what is running), optional ``("hb",
-    cell_id, ts)`` heartbeats, and ``("cell", record, trace_dict)``.  ``obs``
-    carries the runner's observability settings (telemetry/profiler
-    directories and cadence) as a plain picklable dict.  Dispatching one
-    cell per message -- instead of pre-splitting the grid into static
-    slices -- is what makes supervision possible: a dead or killed worker
-    takes down exactly the cell it was running, and the rest of the grid
-    reflows onto the surviving (or respawned) workers.
+    None)`` (so live progress can show what is running) and then
+    ``("cell", record, trace_dict)``.  A worker that dies closes its end of
+    the pipe, which the coordinator reads as the cell's failure; a cell
+    that stalls is caught by its deadline.  ``obs`` carries the runner's
+    observability settings (telemetry/profiler directories and cadence) as
+    a plain picklable dict.  Dispatching one cell per message -- instead of
+    pre-splitting the grid into static slices -- is what makes supervision
+    possible: a dead or killed worker takes down exactly the cell it was
+    running, and the rest of the grid reflows onto the surviving (or
+    respawned) workers.
     """
     obs = dict(obs or {})
-    lock = threading.Lock()  # heartbeats and results share one pipe
     try:
         while True:
             try:
@@ -269,25 +250,9 @@ def _campaign_worker(
                     pass
                 break
             spec = ExperimentSpec.from_dict(message[1])
-            with lock:
-                conn.send(("start", spec.cell_id, None))
-            stop_beat = heartbeat = None
-            if heartbeat_interval_s:
-                stop_beat = threading.Event()
-                heartbeat = threading.Thread(
-                    target=_heartbeat_loop,
-                    args=(conn, lock, spec.cell_id, heartbeat_interval_s, stop_beat),
-                    daemon=True,
-                )
-                heartbeat.start()
-            try:
-                record, trace_dict = execute_cell(spec, **obs)
-            finally:
-                if stop_beat is not None:
-                    stop_beat.set()
-                    heartbeat.join()
-            with lock:
-                conn.send(("cell", record, trace_dict))
+            conn.send(("start", spec.cell_id, None))
+            record, trace_dict = execute_cell(spec, **obs)
+            conn.send(("cell", record, trace_dict))
     finally:
         conn.close()
 
@@ -313,7 +278,6 @@ class _Worker:
     spec: Optional[ExperimentSpec] = None  # cell in flight, if any
     attempt: int = 0  # prior failures of that cell
     deadline: Optional[float] = None  # monotonic wall-clock cutoff
-    last_heartbeat: Optional[float] = None
 
     @property
     def busy(self) -> bool:
@@ -325,8 +289,8 @@ class CampaignReport:
     """What a campaign run did: new records, skipped cells, failures.
 
     ``counters`` carries the supervision tallies of the run (retries,
-    timeouts, worker deaths, quarantined cells, heartbeats observed); all
-    zero for an undisturbed campaign.
+    timeouts, worker deaths, quarantined cells); all zero for an
+    undisturbed campaign.
     """
 
     campaign: str
@@ -392,10 +356,6 @@ class CampaignRunner:
         retry_backoff_s: base delay before re-dispatching a failed cell;
             attempt ``k`` waits ``retry_backoff_s * 2**k`` scaled by a
             deterministic per-(cell, attempt) jitter in ``[1, 2)``.
-        heartbeat_interval_s: cadence of worker liveness beacons.  ``None``
-            enables 1-second heartbeats whenever supervision is active
-            (retries or timeouts configured) and disables them otherwise;
-            pass an explicit value to force either way.
     """
 
     def __init__(
@@ -412,7 +372,6 @@ class CampaignRunner:
         max_retries: int = 0,
         cell_timeout_s: Optional[float] = None,
         retry_backoff_s: float = 0.0,
-        heartbeat_interval_s: Optional[float] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
@@ -424,8 +383,6 @@ class CampaignRunner:
             raise ValueError("cell_timeout_s must be positive")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be non-negative")
-        if heartbeat_interval_s is not None and heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
         self.campaign = campaign
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.jobs = jobs
@@ -437,7 +394,6 @@ class CampaignRunner:
         self.max_retries = max_retries
         self.cell_timeout_s = cell_timeout_s
         self.retry_backoff_s = retry_backoff_s
-        self.heartbeat_interval_s = heartbeat_interval_s
 
     @property
     def supervised(self) -> bool:
@@ -597,15 +553,11 @@ class CampaignRunner:
         record: ``ok``, ``error`` or ``quarantined``.
         """
         started = time.monotonic()
-        heartbeat = self.heartbeat_interval_s
-        if heartbeat is None and self.supervised:
-            heartbeat = 1.0
         counters = {
             "campaign.retries": 0,
             "campaign.timeouts": 0,
             "campaign.worker_deaths": 0,
             "campaign.quarantined": 0,
-            "campaign.heartbeats": 0,
         }
         queue: deque = deque((spec, 0) for spec in pending)  # (spec, failures)
         retries: List[Tuple[float, int, ExperimentSpec]] = []  # (ready_at, failures, spec)
@@ -683,9 +635,7 @@ class CampaignRunner:
 
         def spawn_worker() -> Optional[_Worker]:
             parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_campaign_worker, args=(child_conn, obs, heartbeat)
-            )
+            proc = ctx.Process(target=_campaign_worker, args=(child_conn, obs))
             try:
                 proc.start()
             except OSError as exc:  # pragma: no cover - resource exhaustion
@@ -752,7 +702,6 @@ class CampaignRunner:
                         if self.cell_timeout_s is not None
                         else None
                     )
-                    worker.last_heartbeat = now
 
                 deadlines = [w.deadline for w in workers if w.busy and w.deadline]
                 wakeups = deadlines + [ready_at for ready_at, _, _ in retries]
@@ -769,9 +718,6 @@ class CampaignRunner:
                     if kind == "start":
                         if on_start is not None:
                             on_start(payload)  # payload is the cell id
-                    elif kind == "hb":
-                        counters["campaign.heartbeats"] += 1
-                        worker.last_heartbeat = time.monotonic()
                     elif kind == "cell":
                         worker.spec = None
                         worker.deadline = None

@@ -1,28 +1,28 @@
 """A centralized observer of the evolving graph, used as ground truth.
 
-Two oracle implementations share one query surface:
+Two oracle implementations share one query surface, and both answer for the
+latest observed round only:
 
 * :class:`GroundTruthOracle` -- the **incremental** oracle (the default
   everywhere).  It watches a
   :class:`~repro.simulator.network.DynamicNetwork` round by round and pays
-  per *change*, mirroring the algorithms it checks: observations are stored
-  as a delta log with periodic keyframes
-  (:class:`~repro.oracle.deltas.DeltaLog`, memory O(changes) instead of
-  O(rounds x |E|)); a live adjacency is maintained under edge updates; and
-  query answers for the current round are cached, with an edge change only
-  invalidating the cached answers of nodes within r hops of its endpoints
-  (the *dirty region*).  Quiet rounds -- no changes since the last
-  observation -- cost O(1) to observe.
+  per *change*, mirroring the algorithms it checks: a live adjacency and
+  insertion-time map are maintained under edge updates, and query answers
+  are cached, with an edge change only invalidating the cached answers of
+  nodes within r hops of its endpoints (the *dirty region*).  Quiet rounds
+  -- no changes since the last observation -- cost O(1) to observe.  It
+  keeps no history, so its memory is O(|E|) plus the cache however long
+  the run.
 
-* :class:`NaiveGroundTruthOracle` -- the original deliberately centralized
-  and slow implementation: a full edge-set + insertion-time copy per observed
-  round and a from-scratch reference computation per query.  It is kept as
-  the reference the incremental oracle is differentially tested (and
-  benchmarked, ``benchmarks/bench_oracle_scaling.py``) against.
+* :class:`NaiveGroundTruthOracle` -- the deliberately centralized and slow
+  reference: a copy of the latest edge set and insertion times, and a
+  from-scratch computation per query.  The incremental oracle is
+  differentially tested (and benchmarked,
+  ``benchmarks/bench_oracle_scaling.py``) against it.
 
-Both answer, for any observed round:
+Both answer, for the latest observed round ``i``:
 
-* which edges / subgraphs existed (``G_i`` and ``G_{i-1}`` checks),
+* which edges / subgraphs exist in ``G_i``,
 * the full r-hop neighborhood ``E^{v,r}_i`` of any node,
 * the robust sets ``R^{v,2}_i``, ``T^{v,2}_i``, ``R^{v,3}_i``.
 """
@@ -30,15 +30,14 @@ Both answer, for any observed round:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from ..obs.telemetry import SIZE_BUCKETS, TELEMETRY
 from ..simulator.events import Edge
 from ..simulator.network import DynamicNetwork
 from . import robust_sets, subgraphs
-from .deltas import DeltaLog, RoundDelta
 
-__all__ = ["RoundSnapshot", "GroundTruthOracle", "NaiveGroundTruthOracle"]
+__all__ = ["RoundDelta", "RoundSnapshot", "GroundTruthOracle", "NaiveGroundTruthOracle"]
 
 #: Maximum tracked dirty-region radius.  Covers every shipped query (the
 #: deepest is ``R^{v,3}``, which depends on edges within 2 hops, and
@@ -56,29 +55,55 @@ class RoundSnapshot:
     insertion_times: Mapping[Edge, int]
 
 
+@dataclass(frozen=True)
+class RoundDelta:
+    """The graph changes one observation applied.
+
+    Attributes:
+        round_index: the round whose end-state the delta leads to.
+        inserted: ``(edge, insertion_time)`` pairs; an edge that was deleted
+            and re-inserted since the previous observation appears here with
+            its *new* time (deletions apply first, then insertions).
+        deleted: edges removed since the previous observation.
+    """
+
+    round_index: int
+    inserted: Tuple[Tuple[Edge, int], ...]
+    deleted: Tuple[Edge, ...]
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.inserted and not self.deleted
+
+    def touched_nodes(self) -> Set[int]:
+        """All endpoints of the edges this delta changes."""
+        nodes: Set[int] = set()
+        for edge, _ in self.inserted:
+            nodes.update(edge)
+        for edge in self.deleted:
+            nodes.update(edge)
+        return nodes
+
+
 class GroundTruthOracle:
-    """Incremental, delta-based ground-truth oracle.
+    """Incremental ground-truth oracle for the latest observed round.
 
     Observation cost is proportional to the number of changes since the last
-    observation (O(1) when nothing changed); queries for the current round
-    are served from a cache invalidated only inside the dirty region of the
-    changes; queries for past rounds replay the delta log from the nearest
-    keyframe.
+    observation (O(1) when nothing changed); queries are served from a cache
+    invalidated only inside the dirty region of the changes.
 
     Args:
         n: number of nodes of the observed network.
-        keyframe_interval: a full state copy is stored every this many
-            non-empty deltas, bounding both replay cost and memory
-            (O(changes + |E| x deltas / keyframe_interval)).
     """
 
-    def __init__(self, n: int, keyframe_interval: int = 64) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self._log = DeltaLog(keyframe_interval)
         self._live_edges: Set[Edge] = set()
         self._live_times: Dict[Edge, int] = {}
         self._live_adj: Dict[int, Set[int]] = {}
         self._latest_round = 0
+        #: The most recent round whose observation changed the graph.
+        self._last_changed_round = 0
         #: ``network.total_changes`` at the last observation (continuity check).
         self._observed_changes = 0
         #: Bumped once per non-empty delta; cache entries remember the version
@@ -91,12 +116,11 @@ class GroundTruthOracle:
         self._cache: Dict[tuple, tuple] = {}
         #: node -> distance to the most recent non-empty delta's endpoints.
         self._last_ball: Dict[int, int] = {}
-        self._reconstructed: Optional[RoundSnapshot] = None
 
     @classmethod
-    def from_network(cls, network: DynamicNetwork, **kwargs) -> "GroundTruthOracle":
+    def from_network(cls, network: DynamicNetwork) -> "GroundTruthOracle":
         """An oracle primed with the network's current state (one observation)."""
-        oracle = cls(network.n, **kwargs)
+        oracle = cls(network.n)
         oracle.observe(network)
         return oracle
 
@@ -120,8 +144,10 @@ class GroundTruthOracle:
                 f"cannot observe round {round_index} after round {self._latest_round}"
             )
         delta = self._delta_from(network, round_index)
-        if not delta.is_empty and round_index == self._log.last_round:
-            raise ValueError(f"round {round_index} was already observed with changes")
+        if not delta.is_empty:
+            if round_index == self._last_changed_round:
+                raise ValueError(f"round {round_index} was already observed with changes")
+            self._last_changed_round = round_index
         self._apply_delta(delta)
         self._observed_changes = network.total_changes
         self._latest_round = round_index
@@ -188,8 +214,6 @@ class GroundTruthOracle:
             for depth in range(dist, R_MAX + 1):
                 stamps[depth] = self._version
         self._last_ball = ball
-        self._reconstructed = None
-        self._log.append(delta, self._live_edges, self._live_times)
         if TELEMETRY.enabled:
             TELEMETRY.observe("oracle.dirty_ball", len(ball), SIZE_BUCKETS)
 
@@ -209,7 +233,7 @@ class GroundTruthOracle:
         return dist
 
     def validator(self):
-        """A :class:`~repro.simulator.runner.RoundValidator` that records snapshots."""
+        """A :class:`~repro.simulator.runner.RoundValidator` that observes every round."""
 
         def _record(round_index: int, network: DynamicNetwork, nodes) -> None:
             self.observe(network)
@@ -232,52 +256,15 @@ class GroundTruthOracle:
     def latest_round(self) -> int:
         return self._latest_round
 
-    def snapshot(self, round_index: Optional[int] = None) -> RoundSnapshot:
-        """The snapshot of ``round_index`` (default: the latest observed round).
-
-        If the exact round was not observed (e.g. a quiet round that nobody
-        recorded), the most recent observed state at or before it is returned
-        -- quiet rounds do not change the graph.  Past rounds are
-        reconstructed by replaying the delta log from the nearest keyframe
-        (the most recent reconstruction is cached for repeated queries).
-        """
-        # Negative rounds fall into the reconstruct branch (latest_round is
-        # never negative), which raises the KeyError.
-        if round_index is None or round_index >= self._latest_round:
-            return RoundSnapshot(
-                self._latest_round, frozenset(self._live_edges), dict(self._live_times)
-            )
-        cached = self._reconstructed
-        if cached is not None and cached.round_index == round_index:
-            return cached
-        with TELEMETRY.span("oracle.reconstruct"):
-            edges, times = self._log.reconstruct(round_index)
-        snap = RoundSnapshot(round_index, frozenset(edges), times)
-        self._reconstructed = snap
-        return snap
-
-    def edges_at(self, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        return self.snapshot(round_index).edges
-
-    def times_at(self, round_index: Optional[int] = None) -> Mapping[Edge, int]:
-        return self.snapshot(round_index).insertion_times
-
-    def memory_profile(self) -> Dict[str, int]:
-        """Stored-entry accounting (compared against the naive oracle's)."""
-        return {
-            "snapshot_edge_entries": self._log.memory_entries(),
-            "num_keyframes": self._log.num_keyframes,
-            "num_deltas": self._log.num_deltas,
-            "live_edges": len(self._live_edges),
-            "cache_entries": len(self._cache),
-        }
+    def snapshot(self) -> RoundSnapshot:
+        """The graph at the latest observed round (a copy)."""
+        return RoundSnapshot(
+            self._latest_round, frozenset(self._live_edges), dict(self._live_times)
+        )
 
     # ------------------------------------------------------------------ #
     # Cache plumbing
     # ------------------------------------------------------------------ #
-    def _is_live(self, round_index: Optional[int]) -> bool:
-        return round_index is None or round_index >= self._latest_round
-
     def _fresh(self, node: int, depth: int, version: int) -> bool:
         if depth > R_MAX:
             return self._global_dirty_version <= version
@@ -299,126 +286,94 @@ class GroundTruthOracle:
     # ------------------------------------------------------------------ #
     # Reference sets
     # ------------------------------------------------------------------ #
-    def khop_edges(self, v: int, radius: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        if self._is_live(round_index):
-            return self._cached(
-                ("khop", v, radius),
-                v,
-                max(0, radius - 1),
-                lambda: robust_sets.khop_edges_adj(self._live_adj, v, radius),
-            )
-        snap = self.snapshot(round_index)
-        return robust_sets.khop_edges(snap.edges, v, radius)
+    def khop_edges(self, v: int, radius: int) -> FrozenSet[Edge]:
+        return self._cached(
+            ("khop", v, radius),
+            v,
+            max(0, radius - 1),
+            lambda: robust_sets.khop_edges_adj(self._live_adj, v, radius),
+        )
 
-    def robust_two_hop(self, v: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        if self._is_live(round_index):
-            return self._cached(
-                ("r2", v),
-                v,
-                1,
-                lambda: robust_sets.robust_two_hop_adj(self._live_adj, self._live_times, v),
-            )
-        snap = self.snapshot(round_index)
-        return robust_sets.robust_two_hop(snap.edges, snap.insertion_times, v)
+    def robust_two_hop(self, v: int) -> FrozenSet[Edge]:
+        return self._cached(
+            ("r2", v),
+            v,
+            1,
+            lambda: robust_sets.robust_two_hop_adj(self._live_adj, self._live_times, v),
+        )
 
-    def triangle_pattern_set(self, v: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        if self._is_live(round_index):
-            return self._cached(
-                ("t2", v),
-                v,
-                1,
-                lambda: robust_sets.triangle_pattern_set_adj(
-                    self._live_adj, self._live_times, v
-                ),
-            )
-        snap = self.snapshot(round_index)
-        return robust_sets.triangle_pattern_set(snap.edges, snap.insertion_times, v)
+    def triangle_pattern_set(self, v: int) -> FrozenSet[Edge]:
+        return self._cached(
+            ("t2", v),
+            v,
+            1,
+            lambda: robust_sets.triangle_pattern_set_adj(self._live_adj, self._live_times, v),
+        )
 
-    def robust_three_hop(self, v: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        if self._is_live(round_index):
-            return self._cached(
-                ("r3", v),
-                v,
-                2,
-                lambda: robust_sets.robust_three_hop_adj(
-                    self._live_adj, self._live_times, v
-                ),
-            )
-        snap = self.snapshot(round_index)
-        return robust_sets.robust_three_hop(snap.edges, snap.insertion_times, v)
+    def robust_three_hop(self, v: int) -> FrozenSet[Edge]:
+        return self._cached(
+            ("r3", v),
+            v,
+            2,
+            lambda: robust_sets.robust_three_hop_adj(self._live_adj, self._live_times, v),
+        )
 
     # ------------------------------------------------------------------ #
     # Reference subgraphs
     # ------------------------------------------------------------------ #
-    def triangles_containing(self, v: int, round_index: Optional[int] = None) -> Set[FrozenSet[int]]:
-        if self._is_live(round_index):
-            return self._cached(
-                ("tri", v),
-                v,
-                1,
-                lambda: subgraphs.triangles_containing_adj(self._live_adj, v),
-            )
-        return subgraphs.triangles_containing(self.edges_at(round_index), v)
+    def triangles_containing(self, v: int) -> Set[FrozenSet[int]]:
+        return self._cached(
+            ("tri", v),
+            v,
+            1,
+            lambda: subgraphs.triangles_containing_adj(self._live_adj, v),
+        )
 
-    def cliques_containing(self, v: int, k: int, round_index: Optional[int] = None) -> Set[FrozenSet[int]]:
-        if self._is_live(round_index):
-            return self._cached(
-                ("clique", v, k),
-                v,
-                1,
-                lambda: subgraphs.cliques_containing_adj(self._live_adj, v, k),
-            )
-        return subgraphs.cliques_containing(self.edges_at(round_index), v, k)
+    def cliques_containing(self, v: int, k: int) -> Set[FrozenSet[int]]:
+        return self._cached(
+            ("clique", v, k),
+            v,
+            1,
+            lambda: subgraphs.cliques_containing_adj(self._live_adj, v, k),
+        )
 
-    def cycles_of_length(self, k: int, round_index: Optional[int] = None) -> Set[FrozenSet[int]]:
-        if self._is_live(round_index):
-            # A global query: any change anywhere invalidates it.
-            return self._cached(
-                ("cycles", k),
-                -1,
-                R_MAX + 1,
-                lambda: subgraphs.cycles_of_length(self._live_edges, k),
-            )
-        return subgraphs.cycles_of_length(self.edges_at(round_index), k)
+    def cycles_of_length(self, k: int) -> Set[FrozenSet[int]]:
+        # A global query: any change anywhere invalidates it.
+        return self._cached(
+            ("cycles", k),
+            -1,
+            R_MAX + 1,
+            lambda: subgraphs.cycles_of_length(self._live_edges, k),
+        )
 
-    def is_triangle(self, nodes: Iterable[int], round_index: Optional[int] = None) -> bool:
+    def is_triangle(self, nodes: Iterable[int]) -> bool:
         node_set = set(nodes)
-        if len(node_set) != 3:
-            return False
-        if self._is_live(round_index):
-            return subgraphs.is_clique_adj(self._live_adj, node_set)
-        return subgraphs.is_clique(self.edges_at(round_index), node_set)
+        return len(node_set) == 3 and subgraphs.is_clique_adj(self._live_adj, node_set)
 
-    def is_clique(self, nodes: Iterable[int], round_index: Optional[int] = None) -> bool:
-        if self._is_live(round_index):
-            return subgraphs.is_clique_adj(self._live_adj, nodes)
-        return subgraphs.is_clique(self.edges_at(round_index), nodes)
+    def is_clique(self, nodes: Iterable[int]) -> bool:
+        return subgraphs.is_clique_adj(self._live_adj, nodes)
 
-    def set_is_cycle(self, nodes: Iterable[int], round_index: Optional[int] = None) -> bool:
-        edges = self._live_edges if self._is_live(round_index) else self.edges_at(round_index)
-        return subgraphs.set_is_cycle(edges, nodes)
+    def set_is_cycle(self, nodes: Iterable[int]) -> bool:
+        return subgraphs.set_is_cycle(self._live_edges, nodes)
 
-    def is_cycle_ordering(self, ordering, round_index: Optional[int] = None) -> bool:
-        edges = self._live_edges if self._is_live(round_index) else self.edges_at(round_index)
-        return subgraphs.is_cycle_ordering(edges, ordering)
+    def is_cycle_ordering(self, ordering) -> bool:
+        return subgraphs.is_cycle_ordering(self._live_edges, ordering)
 
 
 class NaiveGroundTruthOracle:
-    """The from-scratch reference oracle: full snapshots, no caching.
+    """The from-scratch reference oracle: one snapshot, no caching.
 
-    Records a complete :class:`RoundSnapshot` per observed round (O(rounds x
-    |E|) memory) and recomputes every query from scratch.  Deliberately
-    simple; the incremental :class:`GroundTruthOracle` is differentially
-    tested against it, and ``benchmarks/bench_oracle_scaling.py`` measures
-    the gap between the two.
+    Holds a complete :class:`RoundSnapshot` of the latest observed round
+    and recomputes every query from scratch.  Deliberately simple; the
+    incremental :class:`GroundTruthOracle` is differentially tested against
+    it, and ``benchmarks/bench_oracle_scaling.py`` measures the gap between
+    the two.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._snapshots: Dict[int, RoundSnapshot] = {}
         # Round 0: the empty graph the model starts from.
-        self._snapshots[0] = RoundSnapshot(0, frozenset(), {})
-        self._latest_round = 0
+        self._snapshot = RoundSnapshot(0, frozenset(), {})
 
     @classmethod
     def from_network(cls, network: DynamicNetwork) -> "NaiveGroundTruthOracle":
@@ -430,18 +385,16 @@ class NaiveGroundTruthOracle:
     # Observation
     # ------------------------------------------------------------------ #
     def observe(self, network: DynamicNetwork) -> RoundSnapshot:
-        """Record the network's current state as the snapshot of its current round."""
-        snapshot = RoundSnapshot(
+        """Replace the held snapshot with the network's current state."""
+        self._snapshot = RoundSnapshot(
             round_index=network.round_index,
             edges=network.edges,
             insertion_times=dict(network.insertion_times()),
         )
-        self._snapshots[network.round_index] = snapshot
-        self._latest_round = max(self._latest_round, network.round_index)
-        return snapshot
+        return self._snapshot
 
     def validator(self):
-        """A :class:`~repro.simulator.runner.RoundValidator` that records snapshots."""
+        """A :class:`~repro.simulator.runner.RoundValidator` that observes every round."""
 
         def _record(round_index: int, network: DynamicNetwork, nodes) -> None:
             self.observe(network)
@@ -453,79 +406,51 @@ class NaiveGroundTruthOracle:
     # ------------------------------------------------------------------ #
     @property
     def latest_round(self) -> int:
-        return self._latest_round
+        return self._snapshot.round_index
 
-    def snapshot(self, round_index: Optional[int] = None) -> RoundSnapshot:
-        """The snapshot of ``round_index`` (default: the latest observed round).
-
-        If the exact round was not observed, the most recent observed
-        snapshot at or before it is returned (a linear scan -- this is the
-        naive implementation).
-        """
-        if round_index is None:
-            round_index = self._latest_round
-        if round_index in self._snapshots:
-            return self._snapshots[round_index]
-        known = [r for r in self._snapshots if r <= round_index]
-        if not known:
-            raise KeyError(f"no snapshot at or before round {round_index}")
-        return self._snapshots[max(known)]
-
-    def edges_at(self, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        return self.snapshot(round_index).edges
-
-    def times_at(self, round_index: Optional[int] = None) -> Mapping[Edge, int]:
-        return self.snapshot(round_index).insertion_times
-
-    def memory_profile(self) -> Dict[str, int]:
-        """Stored-entry accounting (mirrors the incremental oracle's)."""
-        return {
-            "snapshot_edge_entries": sum(
-                len(snap.edges) for snap in self._snapshots.values()
-            ),
-            "num_snapshots": len(self._snapshots),
-        }
+    def snapshot(self) -> RoundSnapshot:
+        """The graph at the latest observed round."""
+        return self._snapshot
 
     # ------------------------------------------------------------------ #
     # Reference sets
     # ------------------------------------------------------------------ #
-    def khop_edges(self, v: int, radius: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        snap = self.snapshot(round_index)
-        return robust_sets.khop_edges(snap.edges, v, radius)
+    def khop_edges(self, v: int, radius: int) -> FrozenSet[Edge]:
+        return robust_sets.khop_edges(self._snapshot.edges, v, radius)
 
-    def robust_two_hop(self, v: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        snap = self.snapshot(round_index)
+    def robust_two_hop(self, v: int) -> FrozenSet[Edge]:
+        snap = self._snapshot
         return robust_sets.robust_two_hop(snap.edges, snap.insertion_times, v)
 
-    def triangle_pattern_set(self, v: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        snap = self.snapshot(round_index)
+    def triangle_pattern_set(self, v: int) -> FrozenSet[Edge]:
+        snap = self._snapshot
         return robust_sets.triangle_pattern_set(snap.edges, snap.insertion_times, v)
 
-    def robust_three_hop(self, v: int, round_index: Optional[int] = None) -> FrozenSet[Edge]:
-        snap = self.snapshot(round_index)
+    def robust_three_hop(self, v: int) -> FrozenSet[Edge]:
+        snap = self._snapshot
         return robust_sets.robust_three_hop(snap.edges, snap.insertion_times, v)
 
     # ------------------------------------------------------------------ #
     # Reference subgraphs
     # ------------------------------------------------------------------ #
-    def triangles_containing(self, v: int, round_index: Optional[int] = None) -> Set[FrozenSet[int]]:
-        return subgraphs.triangles_containing(self.edges_at(round_index), v)
+    def triangles_containing(self, v: int) -> Set[FrozenSet[int]]:
+        return subgraphs.triangles_containing(self._snapshot.edges, v)
 
-    def cliques_containing(self, v: int, k: int, round_index: Optional[int] = None) -> Set[FrozenSet[int]]:
-        return subgraphs.cliques_containing(self.edges_at(round_index), v, k)
+    def cliques_containing(self, v: int, k: int) -> Set[FrozenSet[int]]:
+        return subgraphs.cliques_containing(self._snapshot.edges, v, k)
 
-    def cycles_of_length(self, k: int, round_index: Optional[int] = None) -> Set[FrozenSet[int]]:
-        return subgraphs.cycles_of_length(self.edges_at(round_index), k)
+    def cycles_of_length(self, k: int) -> Set[FrozenSet[int]]:
+        return subgraphs.cycles_of_length(self._snapshot.edges, k)
 
-    def is_triangle(self, nodes: Iterable[int], round_index: Optional[int] = None) -> bool:
+    def is_triangle(self, nodes: Iterable[int]) -> bool:
         node_set = set(nodes)
-        return len(node_set) == 3 and subgraphs.is_clique(self.edges_at(round_index), node_set)
+        return len(node_set) == 3 and subgraphs.is_clique(self._snapshot.edges, node_set)
 
-    def is_clique(self, nodes: Iterable[int], round_index: Optional[int] = None) -> bool:
-        return subgraphs.is_clique(self.edges_at(round_index), nodes)
+    def is_clique(self, nodes: Iterable[int]) -> bool:
+        return subgraphs.is_clique(self._snapshot.edges, nodes)
 
-    def set_is_cycle(self, nodes: Iterable[int], round_index: Optional[int] = None) -> bool:
-        return subgraphs.set_is_cycle(self.edges_at(round_index), nodes)
+    def set_is_cycle(self, nodes: Iterable[int]) -> bool:
+        return subgraphs.set_is_cycle(self._snapshot.edges, nodes)
 
-    def is_cycle_ordering(self, ordering, round_index: Optional[int] = None) -> bool:
-        return subgraphs.is_cycle_ordering(self.edges_at(round_index), ordering)
+    def is_cycle_ordering(self, ordering) -> bool:
+        return subgraphs.is_cycle_ordering(self._snapshot.edges, ordering)

@@ -15,8 +15,8 @@ maintain:
 
 They are the ground truth against which the test-suite and the coverage
 benchmark (E11) compare the distributed implementations.  All functions take
-the edge set and the insertion-time map explicitly so they can be evaluated
-for any past round.
+the edge set and the insertion-time map explicitly, so they work on any
+graph a caller holds.
 
 The ``*_adj`` variants compute the same sets from a prebuilt adjacency map
 instead of rebuilding one from the full edge set per call, so their cost is

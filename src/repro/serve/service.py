@@ -88,6 +88,10 @@ class ServingReport:
 class MonitorService:
     """The full serving stack over one monitored graph.
 
+    The service's oracle answers for the latest served batch only and keeps
+    no history, so its memory follows the live edge set, not the number of
+    batches served.
+
     Args:
         n: number of nodes.
         structure: data structure name or factory (see
@@ -96,8 +100,6 @@ class MonitorService:
         settle_streak: consecutive definite answers after which a touched
             subscription goes quiet (see
             :class:`~repro.serve.subscriptions.SubscriptionRegistry`).
-        keyframe_interval: forwarded to the internal
-            :class:`~repro.oracle.GroundTruthOracle`.
         monitor_kwargs: forwarded to :class:`~repro.serve.core.ServingMonitor`
             (``bandwidth_factor``, ``strict_bandwidth``).
     """
@@ -109,15 +111,12 @@ class MonitorService:
         *,
         engine_mode: str = "sparse",
         settle_streak: int = DEFAULT_SETTLE_STREAK,
-        keyframe_interval: int = 64,
         **monitor_kwargs,
     ) -> None:
         self.monitor = ServingMonitor(
             n, structure, engine_mode=engine_mode, **monitor_kwargs
         )
-        self.oracle = GroundTruthOracle.from_network(
-            self.monitor.network, keyframe_interval=keyframe_interval
-        )
+        self.oracle = GroundTruthOracle.from_network(self.monitor.network)
         self.registry = SubscriptionRegistry(self.monitor, settle_streak=settle_streak)
 
     # Convenience passthroughs -- the service is the one object applications

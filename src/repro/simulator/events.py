@@ -16,6 +16,7 @@ This module defines the change vocabulary used throughout the simulator:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
@@ -37,21 +38,34 @@ def canonical_edge(u: int, v: int) -> Edge:
     ``np.int64`` into :class:`RoundChanges` batches, indications and recorded
     traces, where ``json.dumps`` raises and reprs (hence fingerprints) drift.
     Every edge in the code base passes through here, so this is the single
-    choke point that keeps traces JSON-serializable and hash-stable.
+    choke point that keeps traces JSON-serializable and hash-stable.  Only
+    integers convert: anything with ``__index__`` (numpy ints included) is
+    accepted, while a ``bool``, ``float`` or ``str`` is rejected rather than
+    truncated or parsed.
 
     Raises:
-        ValueError: if ``u == v`` (self loops are not part of the model) or if
-            either endpoint is negative.
+        ValueError: if an endpoint is not an integer, if ``u == v`` (self
+            loops are not part of the model) or if either endpoint is
+            negative.
     """
     if type(u) is not int:
-        u = int(u)
+        u = _node_id(u)
     if type(v) is not int:
-        v = int(v)
+        v = _node_id(v)
     if u == v:
         raise ValueError(f"self loops are not allowed: ({u}, {v})")
     if u < 0 or v < 0:
         raise ValueError(f"node identifiers must be non-negative: ({u}, {v})")
     return (u, v) if u < v else (v, u)
+
+
+def _node_id(value) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"node identifiers must be integers, got {value!r}")
 
 
 def _canonical_edges(edges: Iterable[Tuple[int, int]]) -> list[Edge]:

@@ -121,8 +121,12 @@ class DynamicNetwork:
         return self._total_changes
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge ``{u, v}`` currently exists."""
-        return canonical_edge(u, v) in self._edges
+        """Whether the undirected edge ``{u, v}`` currently exists.
+
+        An adjacency lookup: a self loop or an id outside ``range(n)`` reads
+        ``False``.
+        """
+        return v in self._adj.get(u, ())
 
     def neighbors(self, v: int) -> FrozenSet[int]:
         """The current neighbors of ``v`` (a frozen snapshot, cached between changes)."""

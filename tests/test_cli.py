@@ -391,6 +391,18 @@ MALFORMED_TRACES = {
         [_ROUND_1, {"insert": [[3, 4]]}],
         "trace round 2 needs an 'insert' and a 'delete' list",
     ),
+    "float_node_id": (
+        [_ROUND_1, {"insert": [[0, 1.9], [2.5, 3]], "delete": []}],
+        "trace round 2: node identifiers must be integers, got 1.9",
+    ),
+    "string_node_id": (
+        [_ROUND_1, {"insert": [["3", 1]], "delete": []}],
+        "trace round 2: node identifiers must be integers, got '3'",
+    ),
+    "bool_node_id": (
+        [_ROUND_1, {"insert": [], "delete": [[True, 2]]}],
+        "trace round 2: node identifiers must be integers, got True",
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 """Unit tests for canonical edges and round batches."""
 
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,14 @@ class TestCanonicalEdge:
             canonical_edge(-1, 2)
         with pytest.raises(ValueError):
             canonical_edge(2, -7)
+
+    @pytest.mark.parametrize("bad", [1.9, 2.0, "3", True, False, None])
+    def test_rejects_non_integer_ids_naming_the_value(self, bad):
+        message = re.escape(f"node identifiers must be integers, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            canonical_edge(bad, 4)
+        with pytest.raises(ValueError, match=message):
+            canonical_edge(4, bad)
 
 
 class TestRoundChanges:
@@ -86,6 +95,8 @@ class TestNumpyCoercion:
         edge = canonical_edge(np.int64(5), np.int32(2))
         assert edge == (2, 5)
         assert type(edge[0]) is int and type(edge[1]) is int
+        with pytest.raises(ValueError, match="node identifiers must be integers"):
+            canonical_edge(np.float64(2.0), 5)
 
     def test_batches_built_from_numpy_ints_serialize(self):
         np = pytest.importorskip("numpy")

@@ -106,6 +106,18 @@ class TestAccessors:
         assert net.degree(0) == 2
         assert net.degree(3) == 0
 
+    def test_has_edge_reads_the_adjacency(self):
+        net = DynamicNetwork(4)
+        net.apply_changes(1, RoundChanges.inserts([(0, 1), (2, 1)]))
+        assert net.has_edge(0, 1) and net.has_edge(1, 0)
+        assert net.has_edge(1, 2) and net.has_edge(2, 1)
+        assert not net.has_edge(0, 2)  # absent
+        assert not net.has_edge(1, 1)  # self loop
+        assert not net.has_edge(1, 4) and not net.has_edge(4, 1)  # out of range
+        assert not net.has_edge(-1, 0)
+        net.apply_changes(2, RoundChanges.deletes([(0, 1)]))
+        assert not net.has_edge(0, 1) and not net.has_edge(1, 0)
+
     def test_insertion_times_mapping_only_current_edges(self):
         net = DynamicNetwork(4)
         net.apply_changes(1, RoundChanges.inserts([(0, 1), (2, 3)]))

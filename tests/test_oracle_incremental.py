@@ -1,26 +1,28 @@
-"""The incremental oracle: delta log, keyframes, dirty-region cache, and the
+"""The incremental oracle: live observation, dirty-region cache, and the
 bit-identity property against the from-scratch reference.
 
 The acceptance bar of the incremental :class:`~repro.oracle.GroundTruthOracle`
 is that *every* query answer is bit-identical to the reference functions of
 :mod:`repro.oracle.robust_sets` / :mod:`repro.oracle.subgraphs` on arbitrary
-insert/delete/re-insert interleavings -- including historical queries at
-keyframe-boundary rounds and observations that skipped changed rounds (the
-full-diff fallback).  The hypothesis tests below generate those
-interleavings from the shared :mod:`strategies` schedules.
+insert/delete/re-insert interleavings -- including observations that skipped
+changed rounds (the full-diff fallback).  The oracle answers for the latest
+observed round, so every comparison is made right after an observation.  The
+hypothesis tests below generate those interleavings from the shared
+:mod:`strategies` schedules.
 """
 
 from __future__ import annotations
+
+import pickle
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.oracle import (
-    DeltaLog,
     GroundTruthOracle,
     NaiveGroundTruthOracle,
-    RoundDelta,
     cliques_containing,
     cycles_of_length,
     khop_edges,
@@ -43,12 +45,13 @@ HYP_SETTINGS = dict(
 )
 
 
-def apply_schedule(network, oracles, rounds, observe_mask=None):
+def observe_schedule(network, oracles, rounds, observe_mask=None):
     """Drive a network through a schedule, observing after each round.
 
-    Returns ``{round: (edges, times)}`` for every *observed* round.
+    Yields each *observed* round right after the oracles observe it; with
+    ``observe_mask``, rounds whose flag is false go unobserved (the last
+    round is always observed).
     """
-    observed = {0: (frozenset(), {})}
     for i, (inserts, deletes) in enumerate(rounds):
         r = i + 1
         network.apply_changes(r, RoundChanges.of(insert=inserts, delete=deletes))
@@ -56,74 +59,13 @@ def apply_schedule(network, oracles, rounds, observe_mask=None):
             continue
         for oracle in oracles:
             oracle.observe(network)
-        observed[r] = (network.edges, dict(network.insertion_times()))
-    return observed
-
-
-class TestDeltaLog:
-    def delta(self, r, inserted=(), deleted=()):
-        return RoundDelta(r, tuple(inserted), tuple(deleted))
-
-    def test_reconstruct_replays_from_nearest_keyframe(self):
-        log = DeltaLog(keyframe_interval=2)
-        state_edges, state_times = set(), {}
-        expected = {}
-        for r in range(1, 8):
-            edge = (0, r)
-            state_edges.add(edge)
-            state_times[edge] = r
-            log.append(self.delta(r, inserted=[(edge, r)]), state_edges, state_times)
-            expected[r] = (set(state_edges), dict(state_times))
-        assert log.num_keyframes == 1 + 7 // 2
-        for r in range(8):
-            edges, times = log.reconstruct(r)
-            if r == 0:
-                assert edges == set() and times == {}
-            else:
-                assert (edges, times) == expected[r]
-
-    def test_unobserved_round_resolves_to_previous(self):
-        log = DeltaLog()
-        log.append(self.delta(2, inserted=[((0, 1), 2)]), {(0, 1)}, {(0, 1): 2})
-        assert log.reconstruct(5) == ({(0, 1)}, {(0, 1): 2})
-        assert log.reconstruct(1) == (set(), {})
-
-    def test_negative_round_raises(self):
-        with pytest.raises(KeyError):
-            DeltaLog().reconstruct(-1)
-
-    def test_rounds_must_increase(self):
-        log = DeltaLog()
-        log.append(self.delta(3, deleted=[(0, 1)]), set(), {})
-        with pytest.raises(ValueError):
-            log.append(self.delta(3, deleted=[(1, 2)]), set(), {})
-
-    def test_memory_entries_bounded_by_keyframe_interval(self):
-        # A static bulk of edges plus one churned edge per round: the naive
-        # oracle would store O(rounds x bulk); the log stores the bulk once
-        # per keyframe plus one delta event per round.
-        bulk = {(0, j) for j in range(1, 50)}
-        times = {e: 1 for e in bulk}
-        rounds = 64
-        log = DeltaLog(keyframe_interval=16)
-        log.append(
-            self.delta(1, inserted=[(e, 1) for e in sorted(bulk)]), bulk, times
-        )
-        for r in range(2, rounds + 1):
-            edge = (50, 51)
-            if r % 2 == 0:
-                log.append(self.delta(r, inserted=[(edge, r)]), bulk | {edge}, times)
-            else:
-                log.append(self.delta(r, deleted=[edge]), bulk, times)
-        naive_equivalent = rounds * len(bulk)
-        assert log.memory_entries() < naive_equivalent / 3
-        assert log.num_keyframes == 1 + rounds // 16
+        yield r
 
 
 class TestIncrementalObservation:
     def test_matches_naive_on_explicit_history(self):
         network = DynamicNetwork(5)
-        inc = GroundTruthOracle(5, keyframe_interval=2)
+        inc = GroundTruthOracle(5)
         naive = NaiveGroundTruthOracle(5)
         schedule = [
             ([(0, 1)], []),
@@ -132,10 +74,10 @@ class TestIncrementalObservation:
             ([], [(1, 2)]),
             ([(1, 2)], []),  # re-insert with a fresh timestamp
         ]
-        apply_schedule(network, [inc, naive], schedule)
-        for r in range(6):
-            assert inc.edges_at(r) == naive.edges_at(r), r
-            assert dict(inc.times_at(r)) == dict(naive.times_at(r)), r
+        assert inc.snapshot() == naive.snapshot()
+        for r in observe_schedule(network, [inc, naive], schedule):
+            assert inc.snapshot() == naive.snapshot(), r
+        assert inc.snapshot().insertion_times[(1, 2)] == 5
 
     def test_quiet_observation_is_a_recorded_noop(self):
         network = DynamicNetwork(4)
@@ -148,7 +90,7 @@ class TestIncrementalObservation:
         assert delta.is_empty
         assert oracle.last_changed_ball(3) == set()
         assert oracle.latest_round == 2
-        assert oracle.memory_profile()["num_deltas"] == 1  # no delta stored
+        assert oracle.snapshot().edges == frozenset({(0, 1)})
 
     def test_skipped_changed_rounds_fall_back_to_full_diff(self):
         network = DynamicNetwork(5)
@@ -160,8 +102,8 @@ class TestIncrementalObservation:
         network.apply_changes(2, RoundChanges.deletes([(0, 1)]))
         network.apply_changes(3, RoundChanges.of(insert=[(0, 1), (1, 4)]))
         oracle.observe(network)
-        assert oracle.edges_at() == network.edges
-        assert dict(oracle.times_at())[(0, 1)] == 3
+        assert oracle.snapshot().edges == network.edges
+        assert oracle.snapshot().insertion_times[(0, 1)] == 3
         assert oracle.robust_two_hop(0) == robust_two_hop(
             network.edges, network.insertion_times(), 0
         )
@@ -174,8 +116,19 @@ class TestIncrementalObservation:
         oracle.observe(network)
         stale = DynamicNetwork(4)
         stale.apply_changes(1, RoundChanges.inserts([(0, 1)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot observe round 1 after round 2"):
             oracle.observe(stale)
+
+    def test_observing_a_changed_round_twice_raises(self):
+        network = DynamicNetwork(4)
+        oracle = GroundTruthOracle(4)
+        network.apply_changes(2, RoundChanges.inserts([(0, 1)]))
+        oracle.observe(network)
+        assert oracle.observe(network).is_empty  # the same state again is quiet
+        other = DynamicNetwork(4)
+        other.apply_changes(2, RoundChanges.inserts([(1, 2), (2, 3)]))
+        with pytest.raises(ValueError, match="round 2 was already observed with changes"):
+            oracle.observe(other)
 
     def test_from_network_primes_live_state(self):
         network = DynamicNetwork(4)
@@ -183,7 +136,7 @@ class TestIncrementalObservation:
         network.apply_changes(3, RoundChanges.deletes([(0, 2)]))
         oracle = GroundTruthOracle.from_network(network)
         assert oracle.latest_round == 3
-        assert oracle.edges_at() == network.edges
+        assert oracle.snapshot().edges == network.edges
         assert oracle.triangles_containing(0) == set()
 
 
@@ -321,18 +274,11 @@ class TestOracleReferenceProperty:
     """Hypothesis: every incremental answer equals the from-scratch reference."""
 
     @settings(**HYP_SETTINGS)
-    @given(
-        rounds=churn_schedules(n=N, max_rounds=14, max_events_per_round=3),
-        keyframe_interval=st.integers(min_value=1, max_value=4),
-    )
-    def test_live_queries_bit_identical(self, rounds, keyframe_interval):
+    @given(rounds=churn_schedules(n=N, max_rounds=14, max_events_per_round=3))
+    def test_live_queries_bit_identical(self, rounds):
         network = DynamicNetwork(N)
-        oracle = GroundTruthOracle(N, keyframe_interval=keyframe_interval)
-        for i, (inserts, deletes) in enumerate(rounds):
-            network.apply_changes(
-                i + 1, RoundChanges.of(insert=inserts, delete=deletes)
-            )
-            oracle.observe(network)
+        oracle = GroundTruthOracle(N)
+        for _ in observe_schedule(network, [oracle], rounds):
             edges = network.edges
             times = dict(network.insertion_times())
             for v in range(N):
@@ -349,43 +295,58 @@ class TestOracleReferenceProperty:
 
     @settings(**HYP_SETTINGS)
     @given(
-        rounds=churn_schedules(n=N, max_rounds=14, max_events_per_round=3),
-        keyframe_interval=st.integers(min_value=1, max_value=3),
-    )
-    def test_historical_reconstruction_matches_naive(self, rounds, keyframe_interval):
-        """Replay from keyframes equals the naive full-snapshot history,
-        including at keyframe-boundary rounds (interval as small as 1)."""
-        network = DynamicNetwork(N)
-        inc = GroundTruthOracle(N, keyframe_interval=keyframe_interval)
-        naive = NaiveGroundTruthOracle(N)
-        observed = apply_schedule(network, [inc, naive], rounds)
-        for r, (edges, times) in observed.items():
-            assert inc.edges_at(r) == edges, r
-            assert dict(inc.times_at(r)) == times, r
-            assert naive.edges_at(r) == edges, r
-            # Spot-check a derived historical query against the reference.
-            assert inc.robust_two_hop(0, round_index=r) == robust_two_hop(
-                edges, times, 0
-            )
-            assert inc.triangles_containing(3, round_index=r) == triangles_containing(
-                edges, 3
-            )
-
-    @settings(**HYP_SETTINGS)
-    @given(
         rounds=churn_schedules(n=N, max_rounds=12, max_events_per_round=3),
         mask=st.lists(st.booleans(), min_size=12, max_size=12),
     )
     def test_skipped_observations_stay_correct(self, rounds, mask):
         """Observing only some changed rounds exercises the diff fallback."""
         network = DynamicNetwork(N)
-        oracle = GroundTruthOracle(N, keyframe_interval=2)
-        observed = apply_schedule(network, [oracle], rounds, observe_mask=mask)
+        oracle = GroundTruthOracle(N)
+        for r in observe_schedule(network, [oracle], rounds, observe_mask=mask):
+            assert oracle.snapshot().edges == network.edges, r
+            assert oracle.snapshot().insertion_times == dict(network.insertion_times()), r
         edges = network.edges
         times = dict(network.insertion_times())
         for v in range(N):
             assert oracle.robust_two_hop(v) == robust_two_hop(edges, times, v)
             assert oracle.triangles_containing(v) == triangles_containing(edges, v)
-        for r, (past_edges, past_times) in observed.items():
-            assert oracle.edges_at(r) == past_edges, r
-            assert dict(oracle.times_at(r)) == past_times, r
+
+
+class TestFlatState:
+    """Neither oracle keeps history: long churn around a steady edge set
+    leaves the pickled oracle the size it had early on."""
+
+    @staticmethod
+    def churn(n=60, steady=140, per_round=4, rounds=4000, seed=3):
+        """Yield ``(round, network)``: ``steady`` edges, then ``per_round``
+        deletes and inserts every round."""
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        present = rng.sample(pairs, steady)
+        network = DynamicNetwork(n)
+        network.apply_changes(1, RoundChanges.inserts(present))
+        yield 1, network
+        for r in range(2, rounds + 1):
+            rng.shuffle(present)
+            deletes = present[-per_round:]
+            inserts = set()
+            while len(inserts) < per_round:
+                pair = rng.choice(pairs)
+                if not network.has_edge(*pair):
+                    inserts.add(pair)
+            present[-per_round:] = inserts
+            network.apply_changes(r, RoundChanges.of(insert=inserts, delete=deletes))
+            yield r, network
+
+    @pytest.mark.parametrize("oracle_class", [GroundTruthOracle, NaiveGroundTruthOracle])
+    def test_pickled_oracle_stays_flat(self, oracle_class):
+        oracle = oracle_class(60)
+        sizes = {}
+        for r, network in self.churn():
+            oracle.observe(network)
+            if r % 10 == 0:  # fill the incremental oracle's query cache
+                oracle.robust_two_hop(r % 60)
+                oracle.triangles_containing(r % 60)
+            if r in (1000, 4000):
+                sizes[r] = len(pickle.dumps(oracle))
+        assert sizes[4000] <= 1.1 * sizes[1000], sizes
