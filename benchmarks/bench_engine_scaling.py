@@ -239,7 +239,8 @@ def run_scaling(smoke: bool = False) -> Dict:
 
 
 def emit_report(report: Dict, out: Path) -> None:
-    """Persist the JSON report and the human-readable table."""
+    """Persist the JSON report to ``out`` and the human-readable table under
+    ``benchmarks/results/``, named ``*_smoke`` for the smoke grid."""
     stripped = dict(report)
     stripped["cells"] = [
         {k: v for k, v in cell.items() if k != "metrics"} for cell in report["cells"]
@@ -265,7 +266,7 @@ def emit_report(report: Dict, out: Path) -> None:
         for cell in report["cells"]
     ]
     emit_table(
-        "E14_engine_scaling",
+        "E14_engine_scaling" + ("_smoke" if report["smoke"] else ""),
         ["workload", "engine", "rounds", "wall s", "rounds / s", "mean ms/round", "p95 ms/round"],
         table_rows,
         claim="substrate only: dense vs activity-proportional (sparse) scheduling",
@@ -295,18 +296,19 @@ def test_smoke_identity(benchmark, mode):
     assert metrics == reference
 
 
-def _emit_table_impl():
+def _emit_table_impl(out: Path):
     report = run_scaling(smoke=False)
     assert report["engines_identical"], report["divergent_workloads"]
     flicker_label = f"flicker n={FLICKER_N} (~1% nodes churning)"
     speedups = report["speedup_sparse_over_dense"]
     assert speedups[flicker_label] >= 10.0, speedups
-    emit_report(report, Path(__file__).resolve().parent.parent / "BENCH_engine.json")
+    emit_report(report, out)
 
 
 def test_emit_table(benchmark, results_dir):
-    """Regenerate and persist this experiment's table (runs under --benchmark-only)."""
-    benchmark.pedantic(_emit_table_impl, rounds=1, iterations=1)
+    """Regenerate this experiment's report and table under ``results_dir``
+    (runs under --benchmark-only); the committed ``BENCH_engine.json`` is left alone."""
+    benchmark.pedantic(_emit_table_impl, args=(results_dir / "BENCH_engine.json",), rounds=1, iterations=1)
 
 
 def main(argv=None) -> int:

@@ -1219,9 +1219,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
                 written = write_trace_jsonl(args.trace_out, tracer)
                 print(f"trace events written to {args.trace_out} ({written} events)")
-    summary = report.to_dict()
-    summary.pop("firings")
-    print(format_table(["metric", "value"], sorted(summary.items())))
+    print(format_table(["metric", "value"], sorted(report.summary().items())))
     if args.report is not None:
         args.report.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         print(f"report written to {args.report}")

@@ -20,9 +20,8 @@ machinery is necessary:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, FrozenSet, Mapping, Sequence, Set
+from typing import Any, Dict, FrozenSet, List, Mapping, Sequence, Set
 
 from ..simulator.events import Edge, canonical_edge
 from ..simulator.messages import (
@@ -59,7 +58,7 @@ class NaiveForwardingNode(NodeAlgorithm):
         self.adj: Set[int] = set()
         #: Believed far edges (no timestamps -- that is the flaw).
         self.S: Set[Edge] = set()
-        self.Q: Deque[_PendingEvent] = deque()
+        self.Q: List[_PendingEvent] = []
         self.consistent: bool = True
 
     def on_topology_change(
@@ -75,7 +74,7 @@ class NaiveForwardingNode(NodeAlgorithm):
             self.Q.append(_PendingEvent(canonical_edge(self.node_id, u), EdgeOp.INSERT))
 
     def compose_messages(self, round_index: int) -> Dict[int, Envelope]:
-        item = self.Q.popleft() if self.Q else None
+        item = self.Q.pop(0) if self.Q else None
         is_empty = not self.Q
         outgoing: Dict[int, Envelope] = {}
         for u in self.adj:

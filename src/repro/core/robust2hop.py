@@ -45,9 +45,8 @@ has received its announcement over a continuously-present connecting edge).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, FrozenSet, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from ..simulator.events import Edge, canonical_edge
 from ..simulator.messages import EdgeEventMessage, EdgeOp, Envelope, PatternMark
@@ -87,7 +86,7 @@ class RobustTwoHopNode(NodeAlgorithm):
         #: Far edges mapped to the set of endpoints through which they are known.
         self.S: Dict[Edge, Set[int]] = {}
         #: Pending announcements, drained one per round.
-        self.Q: Deque[_QueueItem] = deque()
+        self.Q: List[_QueueItem] = []
         #: Consistency flag ``C_v``.
         self.consistent: bool = True
 
@@ -114,7 +113,7 @@ class RobustTwoHopNode(NodeAlgorithm):
             )
 
     def compose_messages(self, round_index: int) -> Dict[int, Envelope]:
-        payload: Optional[_QueueItem] = self.Q.popleft() if self.Q else None
+        payload: Optional[_QueueItem] = self.Q.pop(0) if self.Q else None
         # Theorem 7 piggybacks "IsEmpty = is the queue empty *now*", i.e. after
         # the dequeue of this round.  Kept local so composing with an empty
         # queue stays a strict no-op on state (the quiescence contract).
@@ -195,7 +194,7 @@ class RobustTwoHopNode(NodeAlgorithm):
             q = node.Q
             if not q:
                 continue
-            item = q.popleft()
+            item = q.pop(0)
             empty_after = not q
             edge, op, ts = item.edge, item.op, item.timestamp
             if empty_after:

@@ -45,9 +45,8 @@ Reproduction notes
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..simulator.events import Edge, canonical_edge
 from ..simulator.messages import EdgeDeleteHopMessage, Envelope, PathInsertMessage
@@ -106,7 +105,7 @@ class RobustThreeHopNode(NodeAlgorithm):
         # path (the hot loop of large simulations).
         self._traversed_by: Dict[Edge, Set[tuple]] = {}
         #: Pending announcements, drained one per round.
-        self.Q: Deque[_QueueItem] = deque()
+        self.Q: List[_QueueItem] = []
         #: Consistency flag ``C_v`` (two-round rule).
         self.consistent: bool = True
         self._prev_round_clean: bool = True
@@ -142,7 +141,7 @@ class RobustThreeHopNode(NodeAlgorithm):
         queue_empty_at_send = not self.Q
         are_neighbors_empty = not self._neighbor_reported_nonempty_prev
 
-        item: Optional[_QueueItem] = self.Q.popleft() if self.Q else None
+        item: Optional[_QueueItem] = self.Q.pop(0) if self.Q else None
         payload = None
         if isinstance(item, _PathItem):
             # Purely an announcement: the local store happened at indication

@@ -48,13 +48,12 @@ Implementation notes (differences from a literal reading of the pseudocode)
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
-    Deque,
     Dict,
     FrozenSet,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -132,7 +131,7 @@ class TriangleMembershipNode(NodeAlgorithm):
         #: Far edges mapped to the claims that certify them.
         self.S: Dict[Edge, _Claims] = {}
         #: Pending announcements (marks (a) and (b)), drained one per round.
-        self.Q: Deque[_QueueItem] = deque()
+        self.Q: List[_QueueItem] = []
         #: Consistency flag ``C_v``.
         self.consistent: bool = True
 
@@ -166,7 +165,7 @@ class TriangleMembershipNode(NodeAlgorithm):
         # quiescence contract the sparse engine and the state-fingerprint
         # identity gate rely on).
         queue_empty_at_send = not self.Q
-        item: Optional[_QueueItem] = self.Q.popleft() if self.Q else None
+        item: Optional[_QueueItem] = self.Q.pop(0) if self.Q else None
 
         targets_with_payload: Dict[int, EdgeEventMessage] = {}
         if isinstance(item, _PatternAItem):
@@ -288,7 +287,7 @@ class TriangleMembershipNode(NodeAlgorithm):
             q = node.Q
             if not q:
                 continue
-            item = q.popleft()
+            item = q.pop(0)
             adj = node.adj
             if type(item) is _PatternAItem:
                 edge, op, ts = item.edge, item.op, item.timestamp

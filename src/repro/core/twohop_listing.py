@@ -26,9 +26,8 @@ patterns of the fast algorithms; what it cannot do is stay consistent cheaply.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..simulator.events import Edge, canonical_edge
 from ..simulator.messages import (
@@ -91,7 +90,7 @@ class TwoHopListingNode(NodeAlgorithm):
         #: For each neighbor, its neighborhood as far as we know it.
         self.view: Dict[int, Set[int]] = {}
         #: One FIFO update queue per current neighbor.
-        self.out_queues: Dict[int, Deque[_QueueItem]] = {}
+        self.out_queues: Dict[int, List[_QueueItem]] = {}
         #: Snapshot epoch counter (so receivers can recognise chunk batches).
         self._epoch = 0
         self.consistent: bool = True
@@ -113,7 +112,7 @@ class TwoHopListingNode(NodeAlgorithm):
         for u in inserted:
             self.adj.add(u)
             self.view[u] = set()
-            self.out_queues[u] = deque()
+            self.out_queues[u] = []
             edge = canonical_edge(self.node_id, u)
             for w in self.adj:
                 if w != u:
@@ -150,7 +149,7 @@ class TwoHopListingNode(NodeAlgorithm):
             queue = self.out_queues[u]
             payload = None
             if queue:
-                item = queue.popleft()
+                item = queue.pop(0)
                 if isinstance(item, _EventItem):
                     payload = EdgeEventMessage(item.edge, item.op, PatternMark.A)
                 else:

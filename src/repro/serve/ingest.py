@@ -37,6 +37,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -147,6 +148,10 @@ class TraceEventSource(EventSource):
 class LogConversionError(ValueError):
     """A log record could not be normalized (bad shape, bad ids, bad op)."""
 
+
+#: The one round every quiet gap of a converted log refers to, so a long gap
+#: costs one list slot per round and no round object.
+_QUIET_ROUND: Tuple[Tuple[Edge, ...], Tuple[Edge, ...]] = ((), ())
 
 #: Accepted spellings of the two link transitions.
 _OPS = {
@@ -306,7 +311,7 @@ class LogConverter:
             if self.max_quiet_gap is not None and gap > self.max_quiet_gap:
                 stats["clamped_gap_rounds"] += gap - self.max_quiet_gap
                 gap = self.max_quiet_gap
-            trace.rounds.extend(([], []) for _ in range(gap))
+            trace.rounds.extend(repeat(_QUIET_ROUND, gap))
             stats["quiet_rounds"] += gap
             inserts: List[Edge] = []
             deletes: List[Edge] = []

@@ -43,6 +43,10 @@ class ServingReport:
     ``queries_per_s``) is deterministic for a given update stream and
     subscription set, independent of engine mode -- that is the property the
     serving CI gate asserts.
+
+    The fired notifications are kept as the :class:`AnswerChanged` records
+    themselves in :attr:`notifications`; their JSON form, :attr:`firings`, is
+    rendered only when read.
     """
 
     structure: str
@@ -53,7 +57,7 @@ class ServingReport:
     evaluated: int = 0
     skipped: int = 0
     fired: int = 0
-    firings: List[dict] = field(default_factory=list)
+    notifications: List[AnswerChanged] = field(default_factory=list)
     state_fingerprint: str = ""
     duration_s: float = 0.0
 
@@ -61,6 +65,18 @@ class ServingReport:
     def queries_per_s(self) -> float:
         """Standing-query evaluations per second of serving time."""
         return self.evaluated / self.duration_s if self.duration_s > 0 else 0.0
+
+    @property
+    def firings(self) -> List[dict]:
+        """The firing log: one :meth:`AnswerChanged.to_dict` per notification, in order."""
+        return [note.to_dict() for note in self.notifications]
+
+    def summary(self) -> dict:
+        """:meth:`to_dict` without ``firings``, leaving the firing log unrendered."""
+        figures = dict(vars(self))
+        del figures["notifications"]
+        figures["queries_per_s"] = self.queries_per_s
+        return figures
 
     def comparable_dict(self) -> dict:
         """The deterministic, engine-independent part of the report."""
@@ -225,7 +241,7 @@ class MonitorService:
         report.evaluated += self.registry.evaluated - evaluated_before
         report.skipped += self.registry.skipped - skipped_before
         report.fired += len(notifications)
-        report.firings.extend(note.to_dict() for note in notifications)
+        report.notifications.extend(notifications)
         if on_notification is not None:
             for note in notifications:
                 on_notification(note)

@@ -77,7 +77,7 @@ _KIND_RADIUS = {"edge": 3, "triangle": 2, "clique": 2, "cycle": 3}
 DEFAULT_SETTLE_STREAK = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerChanged:
     """A standing query's answer moved.
 

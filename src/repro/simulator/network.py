@@ -14,8 +14,9 @@ sake of analysis".
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Set
+from typing import DefaultDict, Dict, FrozenSet, Mapping, Optional, Set
 
 from .events import Edge, RoundChanges, canonical_edge
 
@@ -79,7 +80,9 @@ class DynamicNetwork:
             raise ValueError("the network must have at least one node")
         self.n = int(n)
         self.round_index = 0
-        self._adj: Dict[int, Set[int]] = {v: set() for v in range(self.n)}
+        # A node's adjacency set is made at its first edge, so untouched nodes
+        # cost nothing; reads go through ``get`` and never make one.
+        self._adj: DefaultDict[int, Set[int]] = defaultdict(set)
         self._edges: Set[Edge] = set()
         self._insertion_time: Dict[Edge, int] = {}
         self._deletion_time: Dict[Edge, int] = {}
@@ -133,13 +136,13 @@ class DynamicNetwork:
         snapshot = self._neighbor_snapshots.get(v)
         if snapshot is None:
             self._check_node(v)
-            snapshot = frozenset(self._adj[v])
+            snapshot = frozenset(self._adj.get(v, ()))
             self._neighbor_snapshots[v] = snapshot
         return snapshot
 
     def degree(self, v: int) -> int:
         self._check_node(v)
-        return len(self._adj[v])
+        return len(self._adj.get(v, ()))
 
     def edges_incident(self, nodes) -> FrozenSet[Edge]:
         """Every current edge with at least one endpoint in ``nodes``.
@@ -153,7 +156,7 @@ class DynamicNetwork:
         out: Set[Edge] = set()
         for v in nodes:
             self._check_node(v)
-            for u in self._adj[v]:
+            for u in self._adj.get(v, ()):
                 out.add(canonical_edge(u, v))
         return frozenset(out)
 
@@ -286,7 +289,7 @@ class DynamicNetwork:
         """Deep copy of the network state (used by the oracle and tests)."""
         clone = DynamicNetwork(self.n)
         clone.round_index = self.round_index
-        clone._adj = {v: set(neigh) for v, neigh in self._adj.items()}
+        clone._adj = defaultdict(set, {v: set(neigh) for v, neigh in self._adj.items()})
         clone._edges = set(self._edges)
         clone._insertion_time = dict(self._insertion_time)
         clone._deletion_time = dict(self._deletion_time)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .adversary import Adversary, AdversaryView
 from .events import Edge, RoundChanges
@@ -27,13 +27,13 @@ class TopologyTrace:
     Attributes:
         n: number of nodes the trace was produced for.
         rounds: one entry per round, each a pair
-            ``(inserted_edges, deleted_edges)``.
+            ``(inserted_edges, deleted_edges)`` of edge sequences.  Entries
+            are read, never mutated: the quiet rounds of a converted log all
+            share one ``((), ())``.
     """
 
     n: int
-    rounds: List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = field(
-        default_factory=list
-    )
+    rounds: List[Tuple[Sequence[Edge], Sequence[Edge]]] = field(default_factory=list)
 
     def append(self, changes: RoundChanges) -> None:
         """Record one round's batch."""

@@ -1,6 +1,7 @@
 """Tests for the serving ingestion layer (event sources + log conversion)."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,20 @@ class TestLogConverter:
         )
         assert converted.trace.num_rounds == 3  # bucket, one clamped gap, bucket
         assert converted.stats["quiet_rounds"] == 1
+
+    def test_quiet_gap_costs_no_memory_per_round(self):
+        # 400,000 quiet rounds share one round object, so each costs one
+        # list slot: about 3.6 MB traced in all.
+        lines = [_line(0, 0, 1, "up"), _line(400_000, 1, 2, "up")]
+        tracemalloc.start()
+        try:
+            converted = LogConverter(4).convert_lines(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converted.stats["quiet_rounds"] == 399_999
+        assert peak < 8_000_000
+        assert len(converted.trace.changes_for(200_000)) == 0
 
     def test_op_aliases(self):
         converted = LogConverter(8).convert_lines(

@@ -8,6 +8,7 @@ from repro import RoundChanges
 from repro.cli import main
 from repro.serve import (
     AdversaryEventSource,
+    AnswerChanged,
     LogEventSource,
     MonitorService,
     TraceEventSource,
@@ -66,6 +67,20 @@ class TestServingReport:
         )
         assert [note.to_dict() for note in seen] == report.firings
         assert report.fired == len(seen) > 0
+
+    def test_firings_kept_as_notifications(self):
+        service = MonitorService(12, "triangle")
+        service.subscribe("triangle", members=[0, 1, 2])
+        report = service.run(flicker_source(12), settle_rounds=8)
+        assert report.fired == len(report.notifications) > 0
+        assert all(type(note) is AnswerChanged for note in report.notifications)
+        assert report.firings == [note.to_dict() for note in report.notifications]
+        assert all(type(firing) is dict for firing in report.firings)
+        assert json.loads(json.dumps(report.to_dict()))["firings"] == report.firings
+        # The summary table is every figure of the report but the firing log.
+        full = report.to_dict()
+        del full["firings"]
+        assert report.summary() == full
 
 
 class TestCrossEngineIdentity:
