@@ -1221,7 +1221,11 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                 print(f"trace events written to {args.trace_out} ({written} events)")
     print(format_table(["metric", "value"], sorted(report.summary().items())))
     if args.report is not None:
-        args.report.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        # json.dump writes chunk by chunk; json.dumps would first hold every
+        # chunk of the firing log's text at once.
+        with args.report.open("w") as handle:
+            json.dump(report.to_dict(), handle, indent=2)
+            handle.write("\n")
         print(f"report written to {args.report}")
     return 0
 
