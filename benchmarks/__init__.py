@@ -1,4 +1,4 @@
-"""Benchmark harness package (one module per experiment of EXPERIMENTS.md).
+"""Benchmark harness package (README's paper-claim table names each claim's bench).
 
 Making this directory a package gives its ``conftest.py`` the import name
 ``benchmarks.conftest``, so it can never shadow the top-level ``conftest``

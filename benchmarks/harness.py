@@ -1,13 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment of EXPERIMENTS.md (one per
-theorem / figure / remark of the paper).  The helpers here keep the harness
-uniform:
+Each paper-claim benchmark regenerates one row of the paper-claim table in
+README.md's Verification section (one per theorem / figure / remark of the
+paper).  The helpers here keep the harness uniform:
 
 * :func:`run_experiment` -- run an algorithm against an adversary and return
   the :class:`~repro.simulator.runner.SimulationResult`;
 * :func:`emit_table` -- print the experiment's table and store it under
-  ``benchmarks/results/`` as CSV so EXPERIMENTS.md can reference it.
+  ``benchmarks/results/`` as CSV.
 """
 
 from __future__ import annotations

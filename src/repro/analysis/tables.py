@@ -2,8 +2,8 @@
 
 The paper has no empirical tables, so the harness prints its own: one table
 per experiment, with the paper's claimed bound next to the measured values.
-These helpers keep the formatting consistent across all benches and
-EXPERIMENTS.md.
+These helpers keep the formatting consistent across all the benches that
+README.md's paper-claim table lists.
 
 Benchmark results live in :class:`~repro.experiments.store.ResultStore`
 directories (JSONL records plus traces); :func:`load_results_jsonl` and

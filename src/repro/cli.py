@@ -795,9 +795,9 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
         "'trace' merges the per-cell trace-event JSONL files into one Chrome "
         "trace-event JSON, loadable in Perfetto (https://ui.perfetto.dev) or "
         "chrome://tracing. "
-        "'diff' compares two perf documents (hotspot reports, BENCH_*.json "
-        "files, or result-store directories) under per-metric tolerance "
-        "thresholds and exits 1 on regression.",
+        "'diff' compares two perf documents ('report --json' hotspot reports "
+        "or result-store directories) under per-metric tolerance thresholds "
+        "and exits 1 on regression.",
     )
     parser.add_argument(
         "command",
@@ -862,14 +862,6 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
         "--warn-only",
         action="store_true",
         help="report regressions but exit 0 anyway ('diff')",
-    )
-    parser.add_argument(
-        "--history",
-        type=Path,
-        default=None,
-        metavar="JSONL",
-        help="append the candidate's extracted rows to this BENCH_history.jsonl "
-        "trajectory after diffing",
     )
     _add_log_level(parser)
     return parser
@@ -936,7 +928,7 @@ def _telemetry_trace(args) -> int:
 
 
 def _telemetry_diff(args) -> int:
-    from .obs import append_history, diff_rows, extract_rows, format_diff, load_perf_document
+    from .obs import diff_rows, extract_rows, format_diff, load_perf_document
 
     if len(args.paths) != 2:
         print(
@@ -962,19 +954,18 @@ def _telemetry_diff(args) -> int:
             )
             return 2
     baseline_path, candidate_path = args.paths
-    docs = []
+    extracted = []
     for path in (baseline_path, candidate_path):
         try:
-            doc = load_perf_document(path)
+            rows = extract_rows(load_perf_document(path))
         except (FileNotFoundError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        rows = extract_rows(doc)
         if not rows:
             print(f"error: no comparable perf rows in {path}", file=sys.stderr)
             return 2
-        docs.append((doc, rows))
-    (baseline_doc, baseline_rows), (candidate_doc, candidate_rows) = docs
+        extracted.append(rows)
+    baseline_rows, candidate_rows = extracted
     report = diff_rows(
         baseline_rows,
         candidate_rows,
@@ -992,9 +983,6 @@ def _telemetry_diff(args) -> int:
         )
         return 2
     print(format_diff(report))
-    if args.history is not None:
-        append_history(args.history, candidate_doc, source=str(candidate_path))
-        print(f"history appended to {args.history}")
     if report.failed and not args.warn_only:
         return 1
     return 0
@@ -1143,6 +1131,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     args = build_serve_parser().parse_args(argv)
     configure_logging(args.log_level)
     try:
+        for flag, value in (("--rounds", args.rounds), ("--settle-rounds", args.settle_rounds)):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative, got {value}")
         service = MonitorService(
             args.nodes,
             args.structure,
@@ -1200,7 +1191,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     try:
         report = service.run(
             source,
-            max_batches=args.rounds,
             settle_rounds=args.settle_rounds,
             on_notification=lambda note: print(
                 f"round {note.round_index:>5}  {note.subscription_id} ({note.kind}): "

@@ -49,7 +49,7 @@ from ..faults.chaos import CHAOS_ADVERSARIES
 from ..fuzz.generators import build_fuzz_adversary
 from ..simulator import Adversary, Envelope, NodeAlgorithm, RoundChanges
 from ..simulator.trace import TopologyTrace, TraceReplayAdversary
-from ..verification.checks import CHECKS, ResultCheck, register_check
+from ..verification.checks import CHECKS, register_check
 from ..workloads import (
     growing_random_graph,
     planted_clique_churn,
@@ -275,8 +275,8 @@ def build_adversary(
 # End-of-run checks
 # --------------------------------------------------------------------- #
 # The checks registry lives in :mod:`repro.verification.checks` (first-class
-# Check objects with per-round hooks and structured failure reports); CHECKS,
-# ResultCheck and register_check are re-exported above for compatibility.
+# Check objects with per-round hooks and structured failure reports); CHECKS
+# and register_check are re-exported above.
 
 
 # --------------------------------------------------------------------- #

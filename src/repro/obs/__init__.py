@@ -12,11 +12,9 @@ from .progress import CampaignProgress, format_duration
 from .regress import (
     DEFAULT_THRESHOLD,
     RegressionReport,
-    append_history,
     diff_rows,
     extract_rows,
     format_diff,
-    load_history,
     load_perf_document,
     metric_direction,
 )
@@ -71,6 +69,4 @@ __all__ = [
     "load_perf_document",
     "diff_rows",
     "format_diff",
-    "append_history",
-    "load_history",
 ]

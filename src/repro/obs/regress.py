@@ -1,20 +1,13 @@
-"""Perf-regression tracking over hotspot reports and BENCH_*.json files.
+"""Perf-regression tracking over hotspot reports and result stores.
 
-The repo accumulates point-in-time performance documents — the committed
-``BENCH_engine/oracle/serving.json`` files and the ``telemetry report
---json`` hotspot dumps.  This module turns them into a *guarded trajectory*:
-
-* :func:`extract_rows` normalizes either document shape into
-  ``{row_key: {metric: value}}`` — BENCH cells keyed by their identity
-  fields (label, n, engine_mode, ...), hotspot reports keyed per span /
-  histogram / counter;
-* :func:`diff_rows` compares two extractions under per-metric tolerance
-  thresholds, classifying each shared float metric by direction
-  (``wall_s`` up is a regression, ``rounds_per_sec`` down is a regression,
-  unclassified metrics are reported but never gate);
-* :func:`append_history` appends each run's extracted rows to a
-  ``BENCH_history.jsonl`` trajectory so the CLI (and CI) can gate on
-  "worse than the previous run by more than the threshold".
+:func:`load_perf_document` reads a ``telemetry report --json`` hotspot dump,
+or merges a result-store directory's telemetry snapshots into one;
+:func:`extract_rows` normalizes the report into ``{row_key: {metric:
+value}}``, one row per span / histogram / counter; :func:`diff_rows`
+compares two extractions under per-metric tolerance thresholds, classifying
+each shared metric by direction (``total_s`` up is a regression,
+``rounds_per_s`` down is a regression, unclassified metrics are reported but
+never gate).
 
 The CLI entry point is ``repro-dynamic-subgraphs telemetry diff``.
 """
@@ -22,12 +15,9 @@ The CLI entry point is ``repro-dynamic-subgraphs telemetry diff``.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from .sink import read_jsonl
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
     "metric_direction",
@@ -36,14 +26,11 @@ __all__ = [
     "diff_rows",
     "RegressionReport",
     "format_diff",
-    "append_history",
-    "load_history",
     "DEFAULT_THRESHOLD",
 ]
 
 #: Default relative tolerance: a gated metric may move 25% in its bad
-#: direction before the diff fails.  CI smoke legs pass a much larger value
-#: (timings on shared runners jitter far more than dedicated boxes).
+#: direction before the diff fails.
 DEFAULT_THRESHOLD = 0.25
 
 _HIGHER_TOKENS = ("per_s", "per_sec", "speedup", "throughput", "qps")
@@ -62,85 +49,46 @@ def metric_direction(name: str) -> Optional[str]:
     return None
 
 
-def _is_identity(value: Any) -> bool:
-    return isinstance(value, (str, bool)) or (
-        isinstance(value, int) and not isinstance(value, bool)
-    )
-
-
 def extract_rows(doc: Mapping[str, Any]) -> Dict[str, Dict[str, float]]:
-    """Normalize one perf document into ``{row_key: {metric: float}}``.
+    """Normalize a hotspot report (``telemetry report --json``) into
+    ``{row_key: {metric: float}}``: one row per span
+    (``total_s``/``mean_s``/``max_s``), per histogram
+    (``mean``/``p50``/``p95``/``p99``/``max``) and per counter.
 
-    Two shapes are understood:
-
-    * **hotspot reports** (``telemetry report --json``): one row per span
-      (``total_s``/``mean_s``/``max_s``), per histogram
-      (``mean``/``p50``/``p95``/``p99``/``max``) and per counter;
-    * **BENCH files**: each entry of a ``cells`` list (plus a
-      ``scale_probe.cells`` list, when present) becomes one row keyed by
-      its identity fields — strings/ints/bools — with its float fields as
-      the metrics.
-
-    Anything else yields no rows; callers treat that as "nothing to
+    Any other document yields no rows; callers treat that as "nothing to
     compare" and exit with a diagnostic.
     """
     rows: Dict[str, Dict[str, float]] = {}
-    if "hotspots" in doc:
-        for span_row in doc.get("hotspots", ()):
-            metrics = {
-                k: float(v)
-                for k, v in span_row.items()
-                if k != "span" and isinstance(v, (int, float)) and not isinstance(v, bool)
-            }
-            if metrics:
-                rows[f"span {span_row['span']}"] = metrics
-        for hist_row in doc.get("histograms", ()):
-            metrics = {
-                k: float(v)
-                for k, v in hist_row.items()
-                if k != "histogram"
-                and isinstance(v, (int, float))
-                and not isinstance(v, bool)
-            }
-            if metrics:
-                rows[f"histogram {hist_row['histogram']}"] = metrics
-        for name, value in doc.get("counters", {}).items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                rows[f"counter {name}"] = {"value": float(value)}
+    if "hotspots" not in doc:
         return rows
-
-    cell_lists: List[Sequence[Mapping[str, Any]]] = []
-    cells = doc.get("cells")
-    if isinstance(cells, list) and all(isinstance(c, Mapping) for c in cells):
-        cell_lists.append(cells)
-    probe = doc.get("scale_probe")
-    if isinstance(probe, Mapping):
-        probe_cells = probe.get("cells")
-        if isinstance(probe_cells, list) and all(
-            isinstance(c, Mapping) for c in probe_cells
-        ):
-            cell_lists.append([dict(c, scale_probe=True) for c in probe_cells])
-    for cell_list in cell_lists:
-        for cell in cell_list:
-            identity: List[str] = []
-            metrics: Dict[str, float] = {}
-            for key in sorted(cell):
-                value = cell[key]
-                if key == "cell_id":
-                    continue  # spec hashes churn with spec schema, not perf
-                if _is_identity(value):
-                    identity.append(f"{key}={value}")
-                elif isinstance(value, float):
-                    metrics[key] = value
-            if metrics:
-                rows[" ".join(identity) or f"row{len(rows)}"] = metrics
+    for span_row in doc["hotspots"]:
+        metrics = {
+            k: float(v)
+            for k, v in span_row.items()
+            if k != "span" and isinstance(v, (int, float)) and not isinstance(v, bool)
+        }
+        if metrics:
+            rows[f"span {span_row['span']}"] = metrics
+    for hist_row in doc.get("histograms", ()):
+        metrics = {
+            k: float(v)
+            for k, v in hist_row.items()
+            if k != "histogram"
+            and isinstance(v, (int, float))
+            and not isinstance(v, bool)
+        }
+        if metrics:
+            rows[f"histogram {hist_row['histogram']}"] = metrics
+    for name, value in doc.get("counters", {}).items():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            rows[f"counter {name}"] = {"value": float(value)}
     return rows
 
 
 def load_perf_document(path: Path) -> Mapping[str, Any]:
     """Load one perf document for diffing.
 
-    ``path`` may be a JSON file (BENCH or hotspot report) or a result-store
+    ``path`` may be a hotspot-report JSON file or a result-store
     directory, in which case its ``telemetry/`` snapshots are merged into a
     fresh hotspot report.  Raises :class:`FileNotFoundError` /
     :class:`ValueError` with messages naming the path; the CLI converts
@@ -278,30 +226,3 @@ def format_diff(report: RegressionReport) -> str:
     if not report.regressions:
         lines.append("  OK: no metric beyond threshold in its bad direction")
     return "\n".join(lines)
-
-
-def append_history(path: Path, doc: Mapping[str, Any], *, source: str) -> Dict[str, Any]:
-    """Append one run's extracted rows to the ``BENCH_history.jsonl``
-    trajectory; returns the record written."""
-    record = {
-        "ts": time.time(),
-        "source": source,
-        "rows": extract_rows(doc),
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return record
-
-
-def load_history(path: Path) -> List[Dict[str, Any]]:
-    """All parseable history records, oldest first (torn lines skipped)."""
-    try:
-        return [
-            record
-            for _, record in read_jsonl(path)
-            if isinstance(record, dict) and "rows" in record
-        ]
-    except OSError:
-        return []

@@ -5,7 +5,8 @@ round ``i``, the number of rounds up to ``i`` in which at least one node holds
 an inconsistent data structure, divided by the number of topology changes that
 occurred up to round ``i``.  :class:`MetricsCollector` tracks exactly this
 ratio, along with per-node inconsistency counts, message and bit counters, and
-a per-round log that benchmarks and EXPERIMENTS.md draw their tables from.
+a per-round log that the benchmarks behind README.md's paper-claim table draw
+their tables from.
 """
 
 from __future__ import annotations

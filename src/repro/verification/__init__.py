@@ -25,8 +25,6 @@ from .checks import (
     CheckFailure,
     CheckOutcome,
     CheckSession,
-    FunctionCheck,
-    ResultCheck,
     applicable_checks,
     register_check,
 )
@@ -66,9 +64,7 @@ __all__ = [
     "CellVerification",
     "DifferentialReport",
     "Divergence",
-    "FunctionCheck",
     "ModeRun",
-    "ResultCheck",
     "VerificationSummary",
     "applicable_checks",
     "normalize_cell",

@@ -1,8 +1,7 @@
 """First-class result checks with structured failure reports.
 
-The checks registry used by experiment campaigns and the CLI used to be a
-plain mapping of names to ``fn(result) -> metrics`` callables.  This module
-promotes it to first-class :class:`Check` objects that additionally
+The checks registry used by experiment campaigns and the CLI maps names to
+first-class :class:`Check` objects that
 
 * know which algorithms / adversaries they apply to (so the spec layer can
   reject nonsensical combinations up front and the ``verify`` command can
@@ -50,16 +49,10 @@ __all__ = [
     "CheckFailure",
     "CheckOutcome",
     "CheckSession",
-    "FunctionCheck",
-    "ResultCheck",
     "applicable_checks",
     "first_divergent_round",
     "register_check",
 ]
-
-#: The legacy check surface: ``check(result) -> metrics``.  Still accepted by
-#: :func:`register_check`; plain callables are wrapped in :class:`FunctionCheck`.
-ResultCheck = Callable[[SimulationResult], Dict[str, float]]
 
 #: Cap on stored failures per check per run, so a badly corrupted result does
 #: not produce an unbounded report.
@@ -224,32 +217,8 @@ class Check:
         metrics, failures = self.collect(result, spec)
         return CheckOutcome(check=self.name, metrics=dict(metrics), failures=list(failures))
 
-    def __call__(self, result: SimulationResult) -> Dict[str, float]:
-        """Legacy surface: ``check(result) -> metrics``."""
-        return self.evaluate(result).metrics
-
     def _failure(self, field_name: str, **kwargs: Any) -> CheckFailure:
         return CheckFailure(check=self.name, field=field_name, **kwargs)
-
-
-class FunctionCheck(Check):
-    """Adapter wrapping a legacy ``fn(result) -> metrics`` callable.
-
-    The wrapped function cannot produce structured failures; any zero-valued
-    ``*_matches_*`` style conventions it uses remain its own business.  Used
-    by :func:`register_check` so existing user code keeps working -- which is
-    also why no drain constraint is imposed (the legacy registry had none).
-    """
-
-    requires_drain = False
-
-    def __init__(self, name: str, fn: ResultCheck) -> None:
-        self.name = name
-        self.description = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
-        self._fn = fn
-
-    def collect(self, result, spec):
-        return dict(self._fn(result)), []
 
 
 class CheckSession:
@@ -1167,18 +1136,13 @@ CHECKS: Dict[str, Check] = {
 }
 
 
-def register_check(name: str, check: Check | ResultCheck) -> None:
-    """Register an extra check under ``name``.
-
-    Accepts either a :class:`Check` instance or a legacy
-    ``fn(result) -> metrics`` callable (wrapped in :class:`FunctionCheck`).
-    """
-    if isinstance(check, Check):
-        if not check.name:
-            check.name = name
-        CHECKS[name] = check
-    else:
-        CHECKS[name] = FunctionCheck(name, check)
+def register_check(name: str, check: Check) -> None:
+    """Register an extra :class:`Check` instance under ``name``."""
+    if not isinstance(check, Check):
+        raise TypeError(f"register_check expects a Check instance, got {type(check).__name__}")
+    if not check.name:
+        check.name = name
+    CHECKS[name] = check
 
 
 def applicable_checks(spec: Any) -> List[str]:

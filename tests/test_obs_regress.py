@@ -1,11 +1,11 @@
 """Tests for the perf-regression tracker and its CLI surface.
 
-``telemetry diff`` compares two perf documents (hotspot reports, BENCH
-files, or result-store directories) under per-metric tolerance thresholds;
-these tests pin the metric-direction classifier, the two document shapes
-:func:`extract_rows` understands, the gating arithmetic, the history
-trajectory, and the CLI exit-code contract (0 ok / 1 regression / 2 unusable
-input — always a diagnostic naming the path, never a traceback).
+``telemetry diff`` compares two perf documents (``telemetry report --json``
+hotspot reports or result-store directories) under per-metric tolerance
+thresholds; these tests pin the metric-direction classifier, the rows
+:func:`extract_rows` reads from a hotspot report, the gating arithmetic, and
+the CLI exit-code contract (0 ok / 1 regression / 2 unusable input — always
+a diagnostic naming the path, never a traceback).
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import pytest
 from repro.cli import telemetry_main
 from repro.obs import (
     RegressionReport,
-    append_history,
     diff_rows,
     extract_rows,
     format_diff,
-    load_history,
     load_perf_document,
     metric_direction,
 )
@@ -66,25 +64,10 @@ class TestExtractRows:
         assert rows["histogram serve.answer_latency_s"]["p95"] == 0.02
         assert rows["counter engine.rounds"] == {"value": 40.0}
 
-    def test_bench_shape_keys_rows_by_identity(self):
-        doc = {
-            "cells": [
-                {"cell_id": "abc123", "label": "churn", "n": 200,
-                 "engine_mode": "sparse", "wall_s": 2.0, "rounds_per_s": 50.0},
-                {"cell_id": "def456", "label": "churn", "n": 1000,
-                 "engine_mode": "sparse", "wall_s": 9.0, "rounds_per_s": 11.0},
-            ],
-            "scale_probe": {"cells": [{"n": 64, "wall_s": 0.5}]},
-        }
-        rows = extract_rows(doc)
-        assert rows["engine_mode=sparse label=churn n=200"]["wall_s"] == 2.0
-        assert rows["engine_mode=sparse label=churn n=1000"]["rounds_per_s"] == 11.0
-        # cell_id is excluded from identity: spec hashes churn with schema.
-        assert not any("abc123" in key for key in rows)
-        assert rows["n=64 scale_probe=True"]["wall_s"] == 0.5
-
     def test_unknown_shape_yields_nothing(self):
         assert extract_rows({"whatever": 1}) == {}
+        # A BENCH file's list of timed cells is not a hotspot report.
+        assert extract_rows({"cells": [{"label": "churn", "n": 200, "wall_s": 2.0}]}) == {}
 
 
 def _rows(**metrics):
@@ -144,25 +127,6 @@ class TestDiffRows:
         assert "OK" in ok
 
 
-class TestHistory:
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_history.jsonl"
-        doc = {"cells": [{"label": "churn", "n": 10, "wall_s": 1.0}]}
-        append_history(path, doc, source="BENCH_a.json")
-        append_history(path, doc, source="BENCH_b.json")
-        records = load_history(path)
-        assert [r["source"] for r in records] == ["BENCH_a.json", "BENCH_b.json"]
-        assert records[0]["rows"]["label=churn n=10"]["wall_s"] == 1.0
-
-    def test_torn_lines_and_missing_file_tolerated(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        assert load_history(path) == []
-        append_history(path, {"cells": [{"label": "x", "wall_s": 1.0}]}, source="s")
-        with path.open("a") as fh:
-            fh.write('{"ts": 1.0, "rows"')
-        assert len(load_history(path)) == 1
-
-
 class TestLoadPerfDocument:
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -180,74 +144,112 @@ class TestLoadPerfDocument:
             load_perf_document(tmp_path)
 
 
-def _bench_file(tmp_path, name, wall_s):
+def _hotspot_file(tmp_path, name, total_s):
+    """A ``telemetry report --json`` document with one span row."""
     path = tmp_path / name
     path.write_text(
-        json.dumps({"cells": [{"label": "churn", "n": 64, "wall_s": wall_s,
-                               "rounds_per_s": 10.0 / wall_s}]})
+        json.dumps({"cells": ["cell-a"], "counters": {"engine.rounds": 40},
+                    "hotspots": [{"span": "engine.round", "count": 40, "total_s": total_s,
+                                  "mean_s": total_s / 40, "max_s": total_s / 10}]})
     )
     return path
 
 
+def _store(tmp_path, name, total_s):
+    """A result-store directory holding one cell's telemetry snapshot."""
+    telemetry = tmp_path / name / "telemetry"
+    telemetry.mkdir(parents=True)
+    snapshot = {"counters": {"engine.rounds": 40},
+                "spans": {"engine.round": {"count": 40, "total_s": total_s,
+                                           "max_s": total_s / 10}}}
+    (telemetry / "cell-a.jsonl").write_text(json.dumps(snapshot) + "\n")
+    return tmp_path / name
+
+
 class TestTelemetryDiffCli:
     def test_ok_exit_zero(self, tmp_path, capsys):
-        base = _bench_file(tmp_path, "base.json", 1.0)
-        cand = _bench_file(tmp_path, "cand.json", 1.1)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
+        cand = _hotspot_file(tmp_path, "cand.json", 1.1)
         assert telemetry_main(["diff", str(base), str(cand)]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_regression_exit_one(self, tmp_path, capsys):
-        base = _bench_file(tmp_path, "base.json", 1.0)
-        cand = _bench_file(tmp_path, "cand.json", 2.0)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
+        cand = _hotspot_file(tmp_path, "cand.json", 2.0)
         assert telemetry_main(["diff", str(base), str(cand)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_warn_only_downgrades_to_zero(self, tmp_path, capsys):
-        base = _bench_file(tmp_path, "base.json", 1.0)
-        cand = _bench_file(tmp_path, "cand.json", 2.0)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
+        cand = _hotspot_file(tmp_path, "cand.json", 2.0)
         assert telemetry_main(["diff", "--warn-only", str(base), str(cand)]) == 0
 
     def test_per_metric_flag(self, tmp_path):
-        base = _bench_file(tmp_path, "base.json", 1.0)
-        cand = _bench_file(tmp_path, "cand.json", 2.0)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
+        cand = _hotspot_file(tmp_path, "cand.json", 2.0)
         code = telemetry_main(
-            ["diff", "--metric", "wall_s=2.0", "--metric", "rounds_per_s=2.0",
-             str(base), str(cand)]
+            ["diff", "--metric", "total_s=2.0", "--metric", "mean_s=2.0",
+             "--metric", "max_s=2.0", str(base), str(cand)]
         )
         assert code == 0
 
     def test_missing_document_exit_two(self, tmp_path, capsys):
-        base = _bench_file(tmp_path, "base.json", 1.0)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
         missing = tmp_path / "nope.json"
         assert telemetry_main(["diff", str(base), str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
 
     def test_no_overlap_exit_two(self, tmp_path, capsys):
-        base = _bench_file(tmp_path, "base.json", 1.0)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
         other = tmp_path / "other.json"
-        other.write_text(json.dumps({"cells": [{"label": "flicker", "wall_s": 1.0}]}))
+        other.write_text(json.dumps({"hotspots": [{"span": "fuzz.schedule", "total_s": 1.0}]}))
         assert telemetry_main(["diff", str(base), str(other)]) == 2
         assert "overlap" in capsys.readouterr().err
 
     def test_rowless_document_exit_two(self, tmp_path, capsys):
-        base = _bench_file(tmp_path, "base.json", 1.0)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
         empty = tmp_path / "empty.json"
-        empty.write_text("{}")
-        assert telemetry_main(["diff", str(base), str(empty)]) == 2
-        assert str(empty) in capsys.readouterr().err
+        # An empty object, and a BENCH file's list of timed cells.
+        for doc in ({}, {"cells": [{"label": "churn", "wall_s": 1.0}]}):
+            empty.write_text(json.dumps(doc))
+            assert telemetry_main(["diff", str(base), str(empty)]) == 2
+            assert str(empty) in capsys.readouterr().err
 
     def test_wrong_arity_exit_two(self, tmp_path, capsys):
-        base = _bench_file(tmp_path, "base.json", 1.0)
+        base = _hotspot_file(tmp_path, "base.json", 1.0)
         assert telemetry_main(["diff", str(base)]) == 2
 
-    def test_history_flag_appends(self, tmp_path):
-        base = _bench_file(tmp_path, "base.json", 1.0)
-        cand = _bench_file(tmp_path, "cand.json", 1.0)
-        history = tmp_path / "BENCH_history.jsonl"
-        telemetry_main(["diff", "--history", str(history), str(base), str(cand)])
-        records = load_history(history)
-        assert len(records) == 1
-        assert records[0]["source"].endswith("cand.json")
+
+class TestTelemetryDiffStores:
+    """``telemetry diff`` over result-store directories, and over the JSON
+    that ``telemetry report --json`` writes for one."""
+
+    def test_ok_exit_zero(self, tmp_path, capsys):
+        base, cand = _store(tmp_path, "base", 1.0), _store(tmp_path, "cand", 1.1)
+        assert telemetry_main(["diff", str(base), str(cand)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_regression_exit_one(self, tmp_path, capsys):
+        base, cand = _store(tmp_path, "base", 1.0), _store(tmp_path, "cand", 2.0)
+        assert telemetry_main(["diff", str(base), str(cand)]) == 1
+        assert "REGRESSION: span engine.round :: total_s" in capsys.readouterr().out
+
+    def test_snapshotless_store_exit_two(self, tmp_path, capsys):
+        base = _store(tmp_path, "base", 1.0)
+        empty = tmp_path / "empty"
+        (empty / "telemetry").mkdir(parents=True)
+        assert telemetry_main(["diff", str(base), str(empty)]) == 2
+        assert "no telemetry snapshots" in capsys.readouterr().err
+
+    def test_report_json_diffs_like_its_store(self, tmp_path, capsys):
+        base, cand = _store(tmp_path, "base", 1.0), _store(tmp_path, "cand", 2.0)
+        reports = []
+        for store in (base, cand):
+            out = store / "report.json"
+            assert telemetry_main(["report", "--store", str(store), "--json", str(out)]) == 0
+            reports.append(str(out))
+        assert telemetry_main(["diff", *reports]) == 1
+        assert telemetry_main(["diff", reports[0], reports[0]]) == 0
 
 
 class TestTelemetryStoreCliErrors:

@@ -188,6 +188,29 @@ class TestServeCLI:
         code = main(["serve", "--source", "trace", "--trace", str(path), "--nodes", "8"])
         assert code == 0
 
+    def test_serve_rounds_caps_only_the_adversary_source(self, tmp_path):
+        # 300 recorded rounds, more than the default --rounds of 200: every
+        # one is served, then the 10 default settle rounds.
+        trace = TopologyTrace(n=8)
+        for i in range(300):
+            edge = [(i // 2 % 7, i // 2 % 7 + 1)]
+            trace.append(RoundChanges.inserts(edge) if i % 2 == 0 else RoundChanges.deletes(edge))
+        path = tmp_path / "trace.json"
+        trace.save(path)
+        report_path = tmp_path / "report.json"
+        code = main(
+            ["serve", "--source", "trace", "--trace", str(path), "--nodes", "8",
+             "--report", str(report_path)]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert (report["batches"], report["events"]) == (310, 300)
+
+    @pytest.mark.parametrize("flag", ["--rounds", "--settle-rounds"])
+    def test_serve_negative_round_counts_exit_2(self, flag, capsys):
+        assert main(["serve", "--nodes", "8", flag, "-3"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be non-negative, got -3\n"
+
     def test_serve_trace_recorded_for_more_nodes_exits_2(self, tmp_path, capsys):
         trace = TopologyTrace(n=10)
         trace.append(RoundChanges.inserts([(7, 8)]))

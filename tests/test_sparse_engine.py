@@ -251,6 +251,42 @@ class TestQuiescence:
             )
 
 
+def _flicker_visits(n, mode):
+    """Node-rounds one policy touches on the Section 1.3 flicker gadget
+    (``settle_rounds`` 300: 308 rounds), summed from each round's
+    ``ActiveNodesView.active_ids`` (``None``: the dense policy visited every
+    node), with the run's RoundRecord stream."""
+    adversary = build_adversary("flicker", n=n, rounds=None, seed=0, params={"settle_rounds": 300})
+    runner = SimulationRunner(
+        n=n, algorithm_factory=ALGORITHMS["triangle"], adversary=adversary, engine_mode=mode
+    )
+    touched = []
+    runner.add_validator(
+        lambda _round, _network, nodes: touched.append(
+            len(nodes) if nodes.active_ids is None else len(nodes.active_ids)
+        )
+    )
+    result = runner.run()
+    return sum(touched), result.metrics.rounds
+
+
+class TestFlickerVisitCounts:
+    """The sparse policy's advantage as an exact count: a topology change
+    wakes only the O(1)-hop neighbourhood of its endpoints, so the gadget's
+    node-rounds do not grow with n, while dense visits n per round."""
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_sparse_touches_only_the_gadget(self, n):
+        touched, records = _flicker_visits(n, "sparse")
+        assert len(records) == 308
+        assert touched == 115
+
+    def test_dense_visits_every_node_every_round(self):
+        touched, records = _flicker_visits(500, "dense")
+        assert touched == 500 * 308 == 154_000
+        assert records == _flicker_visits(500, "sparse")[1]
+
+
 class ContractViolatorNode(NodeAlgorithm):
     """Claims quiescence while inconsistent -- the latch-bug failure class.
 

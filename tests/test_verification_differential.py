@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments import CampaignSpec, ExperimentSpec
 from repro.simulator import state_fingerprint
 from repro.verification import (
@@ -139,21 +141,34 @@ class TestVerifyCampaign:
         assert "triangle_recall" in report.executed_checks
         assert "triangle_oracle" not in report.executed_checks
 
-    def test_legacy_function_checks_keep_working(self):
-        from repro.verification import register_check
+    def test_registered_check_instances_run(self):
+        from repro.verification import Check, register_check
 
-        name = "legacy_fixture_check"
-        register_check(name, lambda result: {"legacy_metric": 1.0})
+        class EdgeCount(Check):
+            requires_drain = False
+
+            def collect(self, result, spec):
+                return {"final_edges": float(result.network.num_edges)}, []
+
+        name = "fixture_edge_count"
+        register_check(name, EdgeCount())
         try:
-            # No drain constraint: the plain-callable registry never had one.
             spec = ExperimentSpec.from_dict(
                 {**CHURN_CELL, "drain": False, "checks": [name]}
             )
             result, outcomes = run_reference(spec, checks=[name])
-            assert outcomes[name].metrics == {"legacy_metric": 1.0}
+            assert CHECKS[name].name == name
+            assert outcomes[name].metrics == {"final_edges": float(result.network.num_edges)}
             assert outcomes[name].ok
         finally:
             del CHECKS[name]
+
+    def test_plain_callables_are_not_checks(self):
+        from repro.verification import register_check
+
+        with pytest.raises(TypeError, match="Check instance"):
+            register_check("fixture_callable", lambda result: {"metric": 1.0})
+        assert "fixture_callable" not in CHECKS
 
     def test_without_coverage_checks_are_reported_skipped(self):
         campaign = CampaignSpec(name="one-cell", base=dict(CHURN_CELL), grid={})
